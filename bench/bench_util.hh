@@ -20,7 +20,6 @@
 
 #include "common/strings.hh"
 #include "common/types.hh"
-#include "isolbench/supervisor.hh"
 #include "isolbench/sweep.hh"
 #include "sim/invariants.hh"
 #include "workload/adversary.hh"
@@ -51,11 +50,10 @@ adversary()
  * message so typos in long sweep invocations fail fast.
  *
  *   --jobs N              sweep worker threads (default: hw concurrency)
- *   --retries N           extra attempts per failed task (default 0)
- *   --task-timeout-ms N   wall-clock watchdog per task attempt
- *   --task-max-events N   simulated-event budget per task attempt
+ *   --task-timeout-ms N   wall-clock watchdog per task
+ *   --task-max-events N   simulated-event budget per task
  *   --resume              skip tasks checkpointed in the run manifest
- *   --only N              run only task index N of every supervised sweep
+ *   --only N              run only task index N of every checkpointed sweep
  *   --manifest PATH       manifest file (default <prog>.manifest.json)
  *   --adversary NAME      add a misbehaving tenant (queue-flood, gc-storm,
  *                         square-wave, flush-storm, slow-drain) in benches
@@ -66,8 +64,8 @@ adversary()
 inline void
 parseArgs(int argc, char **argv)
 {
-    namespace supervisor = isolbench::supervisor;
-    supervisor::Options opt = supervisor::options();
+    namespace sweep = isolbench::sweep;
+    sweep::Options opt = sweep::options();
     if (opt.manifest_path.empty()) {
         std::string prog = argv[0];
         size_t slash = prog.find_last_of('/');
@@ -95,11 +93,7 @@ parseArgs(int argc, char **argv)
                 std::fprintf(stderr, "%s: bad --jobs value\n", argv[0]);
                 std::exit(2);
             }
-            isolbench::sweep::setDefaultJobs(
-                static_cast<uint32_t>(jobs));
-        } else if (std::strcmp(argv[i], "--retries") == 0) {
-            opt.retries =
-                static_cast<uint32_t>(uintValue(argc, argv, i));
+            sweep::setDefaultJobs(static_cast<uint32_t>(jobs));
         } else if (std::strcmp(argv[i], "--task-timeout-ms") == 0) {
             opt.task_timeout_ms =
                 static_cast<double>(uintValue(argc, argv, i));
@@ -138,7 +132,7 @@ parseArgs(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "%s: unknown argument '%s' (supported: --jobs N"
-                         " --retries N --task-timeout-ms N"
+                         " --task-timeout-ms N"
                          " --task-max-events N --resume --only N"
                          " --manifest PATH --adversary NAME"
                          " --check-invariants)\n", argv[0], argv[i]);
@@ -146,24 +140,24 @@ parseArgs(int argc, char **argv)
         }
     }
 
-    supervisor::setOptions(opt);
+    sweep::setOptions(opt);
     if (opt.resume)
-        supervisor::loadManifestFile(opt.manifest_path);
+        sweep::loadManifestFile(opt.manifest_path);
 }
 
 /**
  * Run a supervised, checkpointed sweep of payload-producing tasks and
- * return the payloads (task order; "" where a task finally failed or
- * was skipped via --only). Task failures surface in the failure table
+ * return the payloads (task order; "" where a task failed or was
+ * skipped via --only). Task failures surface in the failure table
  * printed by emitSweepReport(), not as exceptions, so one bad grid
  * point cannot take down a whole figure.
  */
 inline std::vector<std::string>
 supervisedSweep(const std::string &name,
-                const std::vector<isolbench::supervisor::Task> &tasks)
+                const std::vector<isolbench::sweep::Task> &tasks)
 {
     std::vector<std::string> payloads;
-    isolbench::supervisor::run(name, tasks, payloads);
+    isolbench::sweep::supervise(name, tasks, payloads);
     return payloads;
 }
 
@@ -209,7 +203,7 @@ parseHexDouble(const std::string &text)
 }
 
 /**
- * Emit the sweep self-profile and the supervisor failure table: a
+ * Emit the sweep self-profile and the supervision failure table: a
  * summary on stderr (stdout stays byte-identical across thread counts
  * and across --resume) plus BENCH_sweep.json for cross-PR perf
  * tracking.
@@ -219,7 +213,7 @@ emitSweepReport()
 {
     std::fprintf(stderr, "%s\n",
                  isolbench::sweep::profileSummaryLine().c_str());
-    std::fputs(isolbench::supervisor::failureTable().c_str(), stderr);
+    std::fputs(isolbench::sweep::failureTable().c_str(), stderr);
     if (!isolbench::sweep::writeProfileJson("BENCH_sweep.json"))
         std::fprintf(stderr, "warning: could not write BENCH_sweep.json\n");
 }

@@ -52,7 +52,7 @@ main(int argc, char **argv)
                 runBatchScaling(knob, apps, ssds, opts).agg_gibs);
         };
     };
-    std::vector<supervisor::Task> tasks = {
+    std::vector<sweep::Task> tasks = {
         lcP99(Knob::kNone, 1),
         lcP99(Knob::kMqDeadline, 1),
         lcP99(Knob::kBfq, 1),

@@ -20,7 +20,6 @@
 #include "bench_util.hh"
 #include "common/strings.hh"
 #include "isolbench/d2_fairness.hh"
-#include "isolbench/supervisor.hh"
 #include "stats/table.hh"
 
 using namespace isol;
@@ -50,7 +49,7 @@ runPanel(const char *name, const char *title, bool weighted,
     // Each grid point runs as a supervised task returning its table row
     // as a payload; the manifest checkpoints payloads, so a --resume
     // after an interrupt reprints the exact same table.
-    std::vector<supervisor::Task> tasks;
+    std::vector<sweep::Task> tasks;
     tasks.reserve(grid.size());
     for (size_t i = 0; i < grid.size(); ++i) {
         // isol: parallel

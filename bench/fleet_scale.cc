@@ -35,7 +35,6 @@
 #include "common/rng.hh"
 #include "common/strings.hh"
 #include "isolbench/scenario.hh"
-#include "isolbench/supervisor.hh"
 #include "stats/table.hh"
 
 using namespace isol;
@@ -191,7 +190,7 @@ main(int argc, char **argv)
     std::printf("Fleet-scale hierarchical cgroup stress: "
                 "8 pods, heterogeneous tenants, one adversary per pod\n");
 
-    std::vector<supervisor::Task> tasks;
+    std::vector<sweep::Task> tasks;
     tasks.reserve(grid.size());
     for (size_t i = 0; i < grid.size(); ++i) {
         // isol: parallel

@@ -80,7 +80,7 @@ main(int argc, char **argv)
     // Baselines from the no-knob configuration. Payloads carry the
     // doubles as hexfloats so a --resume restores them bit-exactly.
     // isol: parallel
-    std::vector<supervisor::Task> baseline_tasks = {
+    std::vector<sweep::Task> baseline_tasks = {
         [&]() -> std::string {
             return bench::hexDouble(runLcScaling(Knob::kNone, 1, d1)
                                         .p99_us);
@@ -118,7 +118,7 @@ main(int argc, char **argv)
     // Each knob's verdicts come from an independent batch of runs, so
     // the five rows evaluate concurrently as supervised checkpointed
     // tasks; the table is assembled from the row payloads in row order.
-    std::vector<supervisor::Task> row_tasks;
+    std::vector<sweep::Task> row_tasks;
     row_tasks.reserve(rows.size());
     for (size_t row_idx = 0; row_idx < rows.size(); ++row_idx) {
         // isol: parallel

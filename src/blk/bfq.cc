@@ -1,4 +1,3 @@
-// isol: domain(blk)
 #include "blk/bfq.hh"
 
 #include <algorithm>

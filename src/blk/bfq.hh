@@ -16,7 +16,6 @@
  * The per-device single dispatch lock is modelled by BlockDevice via
  * dispatchCost().
  */
-// isol: domain(blk)
 
 #ifndef ISOL_BLK_BFQ_HH
 #define ISOL_BLK_BFQ_HH

@@ -1,4 +1,3 @@
-// isol: domain(blk)
 #include "blk/block_device.hh"
 
 #include <algorithm>

@@ -12,7 +12,6 @@
  * caps their NVMe bandwidth in the paper's Fig. 4 (≈1.8 / ≈0.7 GiB/s on
  * one SSD).
  */
-// isol: domain(blk)
 
 #ifndef ISOL_BLK_BLOCK_DEVICE_HH
 #define ISOL_BLK_BLOCK_DEVICE_HH

@@ -33,7 +33,6 @@
  * `State` must expose a `const cgroup::Cgroup *cg` member (nullptr is a
  * valid key: requests without a cgroup share one dedicated slot).
  */
-// isol: domain(blk)
 
 #ifndef ISOL_BLK_CG_STATE_HH
 #define ISOL_BLK_CG_STATE_HH

@@ -7,7 +7,6 @@
  * requests (BFQ slice idling, MQ-DL priority starvation) and later call
  * the kick callback to restart dispatching.
  */
-// isol: domain(blk)
 
 #ifndef ISOL_BLK_ELEVATOR_HH
 #define ISOL_BLK_ELEVATOR_HH

@@ -1,4 +1,3 @@
-// isol: domain(blk)
 #include "blk/kyber.hh"
 
 #include <algorithm>

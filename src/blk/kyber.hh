@@ -17,7 +17,6 @@
  * protect reads. Kyber is multi-queue friendly: no single dispatch
  * lock, so BlockDevice assigns it no serialized dispatch cost.
  */
-// isol: domain(blk)
 
 #ifndef ISOL_BLK_KYBER_HH
 #define ISOL_BLK_KYBER_HH

@@ -1,4 +1,3 @@
-// isol: domain(blk)
 #include "blk/mq_deadline.hh"
 
 namespace isol::blk

@@ -15,7 +15,6 @@
  *  - a per-device serialized dispatch critical section (the single
  *    dispatch lock) is modelled by BlockDevice via dispatchCost().
  */
-// isol: domain(blk)
 
 #ifndef ISOL_BLK_MQ_DEADLINE_HH
 #define ISOL_BLK_MQ_DEADLINE_HH

@@ -1,4 +1,3 @@
-// isol: domain(blk)
 #include "blk/qos_cost.hh"
 
 #include <algorithm>

@@ -30,7 +30,6 @@
  *    inflates tail latency — the paper's O1 io.cost overhead (+48% P99 at
  *    16 LC-apps) without any effect before saturation.
  */
-// isol: domain(blk)
 
 #ifndef ISOL_BLK_QOS_COST_HH
 #define ISOL_BLK_QOS_COST_HH

@@ -1,4 +1,3 @@
-// isol: domain(blk)
 #include "blk/qos_latency.hh"
 
 #include <algorithm>

@@ -19,7 +19,6 @@
  * Because throttling can only halve QD once per 500 ms, full throttle-down
  * from QD 1024 takes ~10 windows (~5 s) — the paper's O10 burst finding.
  */
-// isol: domain(blk)
 
 #ifndef ISOL_BLK_QOS_LATENCY_HH
 #define ISOL_BLK_QOS_LATENCY_HH

@@ -21,7 +21,6 @@
  * which is exactly the non-work-conserving behaviour the paper measures
  * (O8, Fig. 2e).
  */
-// isol: domain(blk)
 
 #ifndef ISOL_BLK_QOS_MAX_HH
 #define ISOL_BLK_QOS_MAX_HH

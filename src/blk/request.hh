@@ -2,7 +2,6 @@
  * @file
  * Block-layer request type and related enums.
  */
-// isol: domain(blk)
 
 #ifndef ISOL_BLK_REQUEST_HH
 #define ISOL_BLK_REQUEST_HH

@@ -1,4 +1,3 @@
-// isol: domain(coord)
 #include "isolbench/d1_overhead.hh"
 
 #include "common/logging.hh"

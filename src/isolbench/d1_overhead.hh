@@ -12,7 +12,6 @@
  * (§V): io.max limits and io.latency targets far beyond need, an io.cost
  * model beyond device saturation, BFQ slice_idle disabled.
  */
-// isol: domain(coord)
 
 #ifndef ISOL_ISOLBENCH_D1_OVERHEAD_HH
 #define ISOL_ISOLBENCH_D1_OVERHEAD_HH

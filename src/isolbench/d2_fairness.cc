@@ -1,8 +1,6 @@
-// isol: domain(coord)
 #include "isolbench/d2_fairness.hh"
 
 #include "common/logging.hh"
-#include "isolbench/supervisor.hh"
 #include "isolbench/sweep.hh"
 #include "stats/fairness.hh"
 #include "stats/summary.hh"
@@ -110,11 +108,11 @@ runFairness(Knob knob, uint32_t cgroups, bool weighted, FairnessMix mix,
     // seed, so the multi-seed std-dev loop fans out across the sweep
     // pool; the summaries are folded in repeat order afterwards to keep
     // the floating-point results identical to a sequential run. The
-    // supervised map adds watchdog/budget guards and retries per repeat
-    // (partial repeat statistics would silently skew the std-devs, so a
-    // repeat that exhausts its retries fails the whole point).
+    // supervised map adds watchdog/budget guards per repeat (partial
+    // repeat statistics would silently skew the std-devs, so a failed
+    // repeat fails the whole point).
     // isol: parallel
-    std::vector<RepeatResult> reps = supervisor::guardedMap<RepeatResult>(
+    std::vector<RepeatResult> reps = sweep::guardedMap<RepeatResult>(
         strCat(point_name, "-repeats"), opts.repeats, [&](size_t rep) {
         ScenarioConfig cfg;
         cfg.name = point_name;

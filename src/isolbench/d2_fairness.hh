@@ -11,7 +11,6 @@
  *  - non-uniform workloads (Q5): half the cgroups use 256 KiB requests,
  *    sequential access, or 4 KiB random writes (GC interference).
  */
-// isol: domain(coord)
 
 #ifndef ISOL_ISOLBENCH_D2_FAIRNESS_HH
 #define ISOL_ISOLBENCH_D2_FAIRNESS_HH

@@ -1,10 +1,8 @@
-// isol: domain(coord)
 #include "isolbench/d3_tradeoffs.hh"
 
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "isolbench/supervisor.hh"
 #include "isolbench/sweep.hh"
 
 namespace isol::isolbench
@@ -203,10 +201,9 @@ runTradeoffSweep(Knob knob, PriorityAppKind kind, BeWorkload be,
 
     // Each configuration is an independent simulation; fan the grid out
     // across the sweep pool, results landing in config order. The
-    // supervised map adds watchdog/budget guards and retries per
-    // configuration.
+    // supervised map adds watchdog/budget guards per configuration.
     // isol: parallel
-    return supervisor::guardedMap<TradeoffPoint>(
+    return sweep::guardedMap<TradeoffPoint>(
         strCat("d3-", knobName(knob), "-", priorityAppKindName(kind),
                "-", beWorkloadName(be)),
         settings.size(), [&](size_t idx) {

@@ -10,7 +10,6 @@
  * of Fig. 7. BE-app workload variants stress flash idiosyncrasies:
  * random/sequential 4 KiB reads, 256 KiB reads, and 4 KiB writes.
  */
-// isol: domain(coord)
 
 #ifndef ISOL_ISOLBENCH_D3_TRADEOFFS_HH
 #define ISOL_ISOLBENCH_D3_TRADEOFFS_HH

@@ -1,4 +1,3 @@
-// isol: domain(coord)
 #include "isolbench/d4_bursts.hh"
 
 #include <algorithm>

@@ -12,7 +12,6 @@
  * per 500 ms window: 1024 -> 1 is ~10 windows); io.cost, io.max, and the
  * I/O schedulers respond in milliseconds.
  */
-// isol: domain(coord)
 
 #ifndef ISOL_ISOLBENCH_D4_BURSTS_HH
 #define ISOL_ISOLBENCH_D4_BURSTS_HH

@@ -1,4 +1,3 @@
-// isol: domain(coord)
 #include "isolbench/d5_degradation.hh"
 
 #include <cstdio>

@@ -13,7 +13,6 @@
  * result reports whether the LC tail latency and the aggregate bandwidth
  * survive the degradation.
  */
-// isol: domain(coord)
 
 #ifndef ISOL_ISOLBENCH_D5_DEGRADATION_HH
 #define ISOL_ISOLBENCH_D5_DEGRADATION_HH

@@ -1,11 +1,9 @@
-// isol: domain(coord)
 #include "isolbench/scenario.hh"
 
 #include <algorithm>
 
 #include "common/logging.hh"
 #include "common/strings.hh"
-#include "isolbench/supervisor.hh"
 #include "isolbench/sweep.hh"
 #include "isolbench/validate.hh"
 
@@ -340,7 +338,7 @@ Scenario::run()
         busy_at_warmup_ = cpus_->totalBusyNs();
     });
     double wall_start_ms = sweep::monotonicMs();
-    if (supervisor::guardActive()) {
+    if (sweep::guardActive()) {
         // Same event order as runUntil(); the chunk boundaries only
         // decide when the guard gets to look at the wall clock and the
         // event budget, so supervised runs stay byte-identical.
@@ -349,15 +347,15 @@ Scenario::run()
             for (;;) {
                 uint64_t executed =
                     sim_.runChunk(cfg_.duration, kGuardChunkEvents);
-                supervisor::chargeGuardEvents(executed);
-                supervisor::pollGuardDeadline();
+                sweep::chargeGuardEvents(executed);
+                sweep::pollGuardDeadline();
                 if (executed < kGuardChunkEvents)
                     break;
             }
-        } catch (const supervisor::TaskAbort &abort) {
+        } catch (const sweep::TaskAbort &abort) {
             // Budget/watchdog trips name the offending tenant so the
             // supervised failure table is actionable without a replay.
-            throw supervisor::TaskAbort(
+            throw sweep::TaskAbort(
                 abort.kind(), strCat(abort.what(), blameDetail()));
         }
     } else {

@@ -17,7 +17,6 @@
  *   s.run();
  *   double p99 = nsToUs(s.app(a).latency().percentile(99));
  */
-// isol: domain(coord)
 
 #ifndef ISOL_ISOLBENCH_SCENARIO_HH
 #define ISOL_ISOLBENCH_SCENARIO_HH

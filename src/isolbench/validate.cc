@@ -1,4 +1,3 @@
-// isol: domain(coord)
 #include "isolbench/validate.hh"
 
 #include <cmath>

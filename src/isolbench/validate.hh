@@ -14,7 +14,6 @@
  * The individual checks are pure functions over plain numbers so tests
  * can feed them doctored results without building a simulation.
  */
-// isol: domain(coord)
 
 #ifndef ISOL_ISOLBENCH_VALIDATE_HH
 #define ISOL_ISOLBENCH_VALIDATE_HH

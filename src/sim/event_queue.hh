@@ -30,7 +30,6 @@
  * exact live count. Callbacks use SmallCallback so the pointer+id
  * captures the simulator schedules by the million never allocate.
  */
-// isol: domain(sim)
 
 #ifndef ISOL_SIM_EVENT_QUEUE_HH
 #define ISOL_SIM_EVENT_QUEUE_HH

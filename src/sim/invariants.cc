@@ -1,4 +1,3 @@
-// isol: domain(sim)
 #include "sim/invariants.hh"
 
 #include <atomic>

@@ -29,14 +29,13 @@
  * are a single null-pointer test when disabled, so the default build
  * pays nothing. A violation throws InvariantViolation immediately; the
  * sweep supervisor classifies it as `invariant_violation`, so supervised
- * campaigns report (and retry) tripped scenarios instead of crashing.
+ * campaigns report tripped scenarios instead of crashing.
  *
  * The checker lives in sim/ and is deliberately blind to the block
  * layer's types: call sites identify groups, series, and requests by
  * opaque pointers plus human-readable labels, which keeps the layering
  * acyclic (blk -> sim, never sim -> blk).
  */
-// isol: domain(sim)
 
 #ifndef ISOL_SIM_INVARIANTS_HH
 #define ISOL_SIM_INVARIANTS_HH

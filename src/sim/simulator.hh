@@ -3,7 +3,6 @@
  * The Simulator owns the clock and the event queue and provides the
  * run-loop plus relative-time scheduling conveniences.
  */
-// isol: domain(sim)
 
 #ifndef ISOL_SIM_SIMULATOR_HH
 #define ISOL_SIM_SIMULATOR_HH

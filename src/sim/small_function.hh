@@ -11,7 +11,6 @@
  * free in practice. `SmallCallback` is the ubiquitous `void()` alias;
  * the block layer uses `SmallFunction<void(Request *)>` for completions.
  */
-// isol: domain(sim)
 
 #ifndef ISOL_SIM_SMALL_FUNCTION_HH
 #define ISOL_SIM_SMALL_FUNCTION_HH

@@ -1,4 +1,3 @@
-// isol: domain(ssd)
 #include "ssd/config.hh"
 
 namespace isol::ssd

@@ -5,7 +5,6 @@
  * evaluation (a Samsung 980 PRO-like flash SSD and an Intel Optane-like
  * low-latency SSD).
  */
-// isol: domain(ssd)
 
 #ifndef ISOL_SSD_CONFIG_HH
 #define ISOL_SSD_CONFIG_HH

@@ -22,7 +22,6 @@
  * Phase-change (Optane-like) media bypass the FTL: symmetric flat
  * latencies, no cache, no GC.
  */
-// isol: domain(ssd)
 
 #ifndef ISOL_SSD_DEVICE_HH
 #define ISOL_SSD_DEVICE_HH

@@ -1,4 +1,3 @@
-// isol: domain(ssd)
 #include "ssd/ftl.hh"
 
 #include <algorithm>

@@ -10,7 +10,6 @@
  * The FTL is purely bookkeeping — it consumes no simulated time. The
  * SsdDevice drives it and charges die/channel time for each operation.
  */
-// isol: domain(ssd)
 
 #ifndef ISOL_SSD_FTL_HH
 #define ISOL_SSD_FTL_HH

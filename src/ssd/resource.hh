@@ -8,7 +8,6 @@
  * drains (`busyUntil`) and schedules each job's completion directly. This
  * keeps the event count at one event per job.
  */
-// isol: domain(ssd)
 
 #ifndef ISOL_SSD_RESOURCE_HH
 #define ISOL_SSD_RESOURCE_HH

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the fault-tolerant sweep supervisor: error taxonomy,
- * deterministic retry backoff, watchdog and event-budget guards, result
- * validation, manifest round-trip, and the --resume / --only flows.
+ * Tests for the sweep engine's supervision: error taxonomy, watchdog
+ * and event-budget guards, result validation, manifest round-trip, and
+ * the --resume / --only flows.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "common/logging.hh"
 #include "common/strings.hh"
 #include "isolbench/scenario.hh"
-#include "isolbench/supervisor.hh"
 #include "isolbench/sweep.hh"
 #include "isolbench/validate.hh"
 #include "sim/simulator.hh"
@@ -27,16 +26,14 @@ namespace isol::isolbench
 namespace
 {
 
-namespace sup = supervisor;
-
-/** Fresh supervisor state plus a per-test manifest path. */
+/** Fresh supervision state plus a per-test manifest path. */
 class SupervisorTest : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        sup::resetForTest();
+        sweep::resetForTest();
         manifest_path_ = strCat(::testing::TempDir(), "isol_supervisor_",
                                 ::testing::UnitTest::GetInstance()
                                     ->current_test_info()
@@ -49,16 +46,13 @@ class SupervisorTest : public ::testing::Test
     TearDown() override
     {
         std::remove(manifest_path_.c_str());
-        sup::resetForTest();
+        sweep::resetForTest();
     }
 
-    sup::Options
-    fastRetries(uint32_t retries) const
+    sweep::Options
+    checkpointed() const
     {
-        sup::Options opt;
-        opt.retries = retries;
-        opt.backoff_base_ms = 1.0;
-        opt.backoff_cap_ms = 4.0;
+        sweep::Options opt;
         opt.manifest_path = manifest_path_;
         return opt;
     }
@@ -68,15 +62,15 @@ class SupervisorTest : public ::testing::Test
 
 TEST_F(SupervisorTest, ErrorKindNames)
 {
-    EXPECT_STREQ(sup::taskErrorKindName(sup::TaskErrorKind::kTimeout),
+    EXPECT_STREQ(sweep::taskErrorKindName(sweep::TaskErrorKind::kTimeout),
                  "timeout");
-    EXPECT_STREQ(sup::taskErrorKindName(sup::TaskErrorKind::kException),
+    EXPECT_STREQ(sweep::taskErrorKindName(sweep::TaskErrorKind::kException),
                  "exception");
     EXPECT_STREQ(
-        sup::taskErrorKindName(sup::TaskErrorKind::kInvariantViolation),
+        sweep::taskErrorKindName(sweep::TaskErrorKind::kInvariantViolation),
         "invariant_violation");
     EXPECT_STREQ(
-        sup::taskErrorKindName(sup::TaskErrorKind::kResourceExhausted),
+        sweep::taskErrorKindName(sweep::TaskErrorKind::kResourceExhausted),
         "resource_exhausted");
 }
 
@@ -94,205 +88,142 @@ capture(const std::function<void()> &fn)
 TEST_F(SupervisorTest, ClassifyErrorTaxonomy)
 {
     auto kind_of = [](const std::function<void()> &fn) {
-        return sup::classifyError(0, 0, capture(fn)).kind;
+        return sweep::classifyError(0, capture(fn)).kind;
     };
     EXPECT_EQ(kind_of([] {
-                  throw sup::TaskAbort(sup::TaskErrorKind::kTimeout,
+                  throw sweep::TaskAbort(sweep::TaskErrorKind::kTimeout,
                                        "late");
               }),
-              sup::TaskErrorKind::kTimeout);
+              sweep::TaskErrorKind::kTimeout);
     EXPECT_EQ(kind_of([] { throw sim::BudgetExceeded("storm"); }),
-              sup::TaskErrorKind::kResourceExhausted);
+              sweep::TaskErrorKind::kResourceExhausted);
     EXPECT_EQ(kind_of([] {
                   throw validate::InvariantViolation("bad result");
               }),
-              sup::TaskErrorKind::kInvariantViolation);
+              sweep::TaskErrorKind::kInvariantViolation);
     EXPECT_EQ(kind_of([] { throw std::bad_alloc(); }),
-              sup::TaskErrorKind::kResourceExhausted);
+              sweep::TaskErrorKind::kResourceExhausted);
     EXPECT_EQ(kind_of([] { fatal("config error"); }),
-              sup::TaskErrorKind::kException);
+              sweep::TaskErrorKind::kException);
     EXPECT_EQ(kind_of([] { throw 42; }),
-              sup::TaskErrorKind::kException);
+              sweep::TaskErrorKind::kException);
 
-    sup::TaskError err = sup::classifyError(
-        7, 2, capture([] { fatal("boom"); }));
+    sweep::TaskError err =
+        sweep::classifyError(7, capture([] { fatal("boom"); }));
     EXPECT_EQ(err.task, 7u);
-    EXPECT_EQ(err.attempt, 2u);
     EXPECT_EQ(err.message, "boom");
 }
 
-TEST_F(SupervisorTest, BackoffDeterministicCappedAndJittered)
+TEST_F(SupervisorTest, FailingTaskReportedOnceAndSweepCompletes)
 {
-    sup::Options opt;
-    opt.backoff_base_ms = 50.0;
-    opt.backoff_cap_ms = 2000.0;
-
-    EXPECT_EQ(sup::backoffMs(opt, 3, 0), 0.0);
-    for (uint32_t attempt = 1; attempt <= 8; ++attempt) {
-        for (size_t task = 0; task < 4; ++task) {
-            double d1 = sup::backoffMs(opt, task, attempt);
-            double d2 = sup::backoffMs(opt, task, attempt);
-            EXPECT_EQ(d1, d2) << "replay must be deterministic";
-            double ladder =
-                std::min(opt.backoff_cap_ms,
-                         opt.backoff_base_ms *
-                             static_cast<double>(1u << (attempt - 1)));
-            EXPECT_GE(d1, ladder * 0.5);
-            EXPECT_LE(d1, ladder);
-        }
-    }
-    // Jitter must separate tasks retrying at the same attempt.
-    EXPECT_NE(sup::backoffMs(opt, 0, 1), sup::backoffMs(opt, 1, 1));
-}
-
-TEST_F(SupervisorTest, RetryThenSucceedIsDeterministic)
-{
-    auto run_once = [this] {
-        sup::resetForTest();
-        sup::setOptions(fastRetries(2));
-        std::vector<std::atomic<uint32_t>> attempts(4);
-        std::vector<sup::Task> tasks;
-        for (size_t i = 0; i < 4; ++i) {
-            tasks.push_back([&attempts, i]() -> std::string {
-                uint32_t attempt = attempts[i]++;
-                // Task 1 fails once, task 2 fails twice.
-                if (i == 1 && attempt < 1)
-                    fatal("flaky once");
-                if (i == 2 && attempt < 2)
-                    fatal("flaky twice");
-                return strCat("payload-", i, "-attempt-", attempt);
-            });
-        }
-        std::vector<std::string> payloads;
-        sup::SweepReport report =
-            sup::run("retry-sweep", tasks, payloads, 4);
-        return std::make_pair(report, payloads);
-    };
-
-    auto [report, payloads] = run_once();
-    EXPECT_TRUE(report.allOk());
-    EXPECT_EQ(report.completed, 4u);
-    EXPECT_EQ(report.retried, 2u);
-    EXPECT_EQ(report.failed, 0u);
-    ASSERT_EQ(report.errors.size(), 3u);
-    EXPECT_EQ(payloads[0], "payload-0-attempt-0");
-    EXPECT_EQ(payloads[1], "payload-1-attempt-1");
-    EXPECT_EQ(payloads[2], "payload-2-attempt-2");
-    EXPECT_EQ(payloads[3], "payload-3-attempt-0");
-
-    // Byte-identical replay, also at a different worker count.
-    auto [report2, payloads2] = run_once();
-    EXPECT_EQ(payloads, payloads2);
-    EXPECT_EQ(report2.retried, 2u);
-}
-
-TEST_F(SupervisorTest, RetriesExhaustedReportsFailure)
-{
-    sup::setOptions(fastRetries(1));
-    std::vector<sup::Task> tasks = {
+    sweep::setOptions(checkpointed());
+    std::atomic<uint32_t> broken_runs{0};
+    std::vector<sweep::Task> tasks = {
         []() -> std::string { return "ok"; },
-        []() -> std::string {
+        [&broken_runs]() -> std::string {
+            ++broken_runs;
             fatal("always broken");
             return "";
         },
+        []() -> std::string { return "also ok"; },
     };
     std::vector<std::string> payloads;
-    sup::SweepReport report =
-        sup::run("exhausted-sweep", tasks, payloads, 2);
+    sweep::SweepReport report =
+        sweep::supervise("failing-sweep", tasks, payloads, 2);
     EXPECT_FALSE(report.allOk());
-    EXPECT_EQ(report.completed, 1u);
+    EXPECT_EQ(broken_runs.load(), 1u) << "a failed task must not re-run";
+    EXPECT_EQ(report.completed, 2u);
     EXPECT_EQ(report.failed, 1u);
-    ASSERT_EQ(report.failed_tasks.size(), 1u);
-    EXPECT_EQ(report.failed_tasks[0], 1u);
-    ASSERT_EQ(report.errors.size(), 2u); // attempt 0 + retry
+    ASSERT_EQ(report.errors.size(), 1u);
+    EXPECT_EQ(report.errors[0].task, 1u);
+    EXPECT_EQ(report.errors[0].message, "always broken");
     EXPECT_EQ(payloads[0], "ok");
     EXPECT_EQ(payloads[1], "");
+    EXPECT_EQ(payloads[2], "also ok");
 
-    std::string table = sup::failureTable();
-    EXPECT_NE(table.find("exhausted-sweep"), std::string::npos);
+    std::string table = sweep::failureTable();
+    EXPECT_NE(table.find("failing-sweep"), std::string::npos);
     EXPECT_NE(table.find("exception"), std::string::npos);
+    EXPECT_NE(table.find("2 completed"), std::string::npos);
     EXPECT_NE(table.find("1 failed"), std::string::npos);
 }
 
 TEST_F(SupervisorTest, WatchdogDeadlineFiresAsTimeout)
 {
-    sup::Options opt;
+    sweep::Options opt;
     opt.task_timeout_ms = 5.0;
     opt.manifest_path.clear();
-    sup::setOptions(opt);
+    sweep::setOptions(opt);
 
-    std::vector<sup::Task> tasks = {[]() -> std::string {
-        EXPECT_TRUE(sup::guardActive());
-        for (int i = 0; i < 100; ++i) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            sup::pollGuardDeadline();
-        }
-        return "should have timed out";
-    }};
-    std::vector<std::string> payloads;
-    sup::SweepReport report =
-        sup::runUncheckpointed("watchdog-sweep", tasks, payloads, 1);
+    sweep::SweepReport report = sweep::runGuarded(
+        "watchdog-sweep",
+        {[] {
+            EXPECT_TRUE(sweep::guardActive());
+            for (int i = 0; i < 100; ++i) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                sweep::pollGuardDeadline();
+            }
+        }},
+        1);
     EXPECT_EQ(report.failed, 1u);
     ASSERT_FALSE(report.errors.empty());
-    EXPECT_EQ(report.errors[0].kind, sup::TaskErrorKind::kTimeout);
+    EXPECT_EQ(report.errors[0].kind, sweep::TaskErrorKind::kTimeout);
     EXPECT_NE(report.errors[0].message.find("watchdog deadline"),
               std::string::npos);
 }
 
 TEST_F(SupervisorTest, EventBudgetStopsRunawayScenario)
 {
-    sup::Options opt;
+    sweep::Options opt;
     opt.max_task_events = 20000;
     opt.manifest_path.clear();
-    sup::setOptions(opt);
+    sweep::setOptions(opt);
 
-    std::vector<sup::Task> tasks = {[]() -> std::string {
-        ScenarioConfig cfg;
-        cfg.name = "budget-test";
-        cfg.num_cores = 2;
-        cfg.duration = msToNs(400);
-        cfg.warmup = msToNs(50);
-        Scenario scenario(cfg);
-        scenario.addApp(workload::beApp("be", cfg.duration), "be");
-        scenario.run();
-        return "ran to completion";
-    }};
-    std::vector<std::string> payloads;
-    sup::SweepReport report =
-        sup::runUncheckpointed("budget-sweep", tasks, payloads, 1);
+    sweep::SweepReport report = sweep::runGuarded(
+        "budget-sweep",
+        {[] {
+            ScenarioConfig cfg;
+            cfg.name = "budget-test";
+            cfg.num_cores = 2;
+            cfg.duration = msToNs(400);
+            cfg.warmup = msToNs(50);
+            Scenario scenario(cfg);
+            scenario.addApp(workload::beApp("be", cfg.duration), "be");
+            scenario.run();
+        }},
+        1);
     EXPECT_EQ(report.failed, 1u);
     ASSERT_FALSE(report.errors.empty());
     EXPECT_EQ(report.errors[0].kind,
-              sup::TaskErrorKind::kResourceExhausted);
+              sweep::TaskErrorKind::kResourceExhausted);
     EXPECT_NE(report.errors[0].message.find("budget"),
               std::string::npos);
 }
 
 TEST_F(SupervisorTest, StormGuardRecoverableUnderSupervision)
 {
-    sup::Options opt;
+    sweep::Options opt;
     opt.manifest_path.clear();
-    sup::setOptions(opt);
+    sweep::setOptions(opt);
 
     // A self-rescheduling event never drains the queue; runAll's storm
     // guard must surface as a recoverable resource_exhausted error when
     // supervised (unsupervised it calls fatal()).
-    std::vector<sup::Task> tasks = {[]() -> std::string {
-        sim::Simulator simulator;
-        std::function<void()> respawn = [&] {
-            simulator.after(10, [&respawn] { respawn(); });
-        };
-        respawn();
-        simulator.runAll(5000);
-        return "unreachable";
-    }};
-    std::vector<std::string> payloads;
-    sup::SweepReport report =
-        sup::runUncheckpointed("storm-sweep", tasks, payloads, 1);
+    sweep::SweepReport report = sweep::runGuarded(
+        "storm-sweep",
+        {[] {
+            sim::Simulator simulator;
+            std::function<void()> respawn = [&] {
+                simulator.after(10, [&respawn] { respawn(); });
+            };
+            respawn();
+            simulator.runAll(5000);
+        }},
+        1);
     EXPECT_EQ(report.failed, 1u);
     ASSERT_FALSE(report.errors.empty());
     EXPECT_EQ(report.errors[0].kind,
-              sup::TaskErrorKind::kResourceExhausted);
+              sweep::TaskErrorKind::kResourceExhausted);
     EXPECT_NE(report.errors[0].message.find("event storm"),
               std::string::npos);
 }
@@ -329,63 +260,62 @@ TEST_F(SupervisorTest, DoctoredResultsFailValidation)
     validate::enforce(clean, "clean"); // must not throw
 
     // Supervised classification of a validation failure.
-    sup::Options opt;
+    sweep::Options opt;
     opt.manifest_path.clear();
-    sup::setOptions(opt);
-    std::vector<sup::Task> tasks = {[]() -> std::string {
-        std::vector<validate::Issue> bad;
-        validate::checkThroughput(bad, "agg", -2.0);
-        validate::enforce(bad, "doctored-task");
-        return "unreachable";
-    }};
-    std::vector<std::string> payloads;
-    sup::SweepReport report =
-        sup::runUncheckpointed("invariant-sweep", tasks, payloads, 1);
+    sweep::setOptions(opt);
+    sweep::SweepReport report = sweep::runGuarded(
+        "invariant-sweep",
+        {[] {
+            std::vector<validate::Issue> bad;
+            validate::checkThroughput(bad, "agg", -2.0);
+            validate::enforce(bad, "doctored-task");
+        }},
+        1);
     ASSERT_FALSE(report.errors.empty());
     EXPECT_EQ(report.errors[0].kind,
-              sup::TaskErrorKind::kInvariantViolation);
+              sweep::TaskErrorKind::kInvariantViolation);
 }
 
 TEST_F(SupervisorTest, ManifestRoundTripEscapesPayloads)
 {
-    sup::ManifestSweep sweep;
+    sweep::ManifestSweep sweep;
     sweep.name = "round\ttrip \"sweep\"\n";
     sweep.tasks = 3;
     std::string payload = "cell1\tcell2\nline \"quoted\" \\slash\x01";
     sweep.entries.push_back(
-        sup::ManifestEntry{0, sup::digestOf(payload), payload});
-    sweep.entries.push_back(sup::ManifestEntry{2, sup::digestOf(""), ""});
+        sweep::ManifestEntry{0, sweep::digestOf(payload), payload});
+    sweep.entries.push_back(sweep::ManifestEntry{2, sweep::digestOf(""), ""});
 
-    std::string text = sup::encodeManifest({sweep});
-    std::vector<sup::ManifestSweep> decoded;
-    ASSERT_TRUE(sup::decodeManifest(text, decoded));
+    std::string text = sweep::encodeManifest({sweep});
+    std::vector<sweep::ManifestSweep> decoded;
+    ASSERT_TRUE(sweep::decodeManifest(text, decoded));
     ASSERT_EQ(decoded.size(), 1u);
     EXPECT_EQ(decoded[0].name, sweep.name);
     EXPECT_EQ(decoded[0].tasks, 3u);
     ASSERT_EQ(decoded[0].entries.size(), 2u);
     EXPECT_EQ(decoded[0].entries[0].task, 0u);
     EXPECT_EQ(decoded[0].entries[0].payload, payload);
-    EXPECT_EQ(decoded[0].entries[0].digest, sup::digestOf(payload));
+    EXPECT_EQ(decoded[0].entries[0].digest, sweep::digestOf(payload));
     EXPECT_EQ(decoded[0].entries[1].task, 2u);
     EXPECT_EQ(decoded[0].entries[1].payload, "");
 
-    std::vector<sup::ManifestSweep> none;
-    EXPECT_FALSE(sup::decodeManifest("not json", none));
-    EXPECT_FALSE(sup::decodeManifest("{\"sweeps\": [", none));
+    std::vector<sweep::ManifestSweep> none;
+    EXPECT_FALSE(sweep::decodeManifest("not json", none));
+    EXPECT_FALSE(sweep::decodeManifest("{\"sweeps\": [", none));
 }
 
 TEST_F(SupervisorTest, DigestIsStable)
 {
-    EXPECT_EQ(sup::digestOf("abc"), sup::digestOf("abc"));
-    EXPECT_NE(sup::digestOf("abc"), sup::digestOf("abd"));
-    EXPECT_EQ(sup::digestOf("").size(), 16u);
+    EXPECT_EQ(sweep::digestOf("abc"), sweep::digestOf("abc"));
+    EXPECT_NE(sweep::digestOf("abc"), sweep::digestOf("abd"));
+    EXPECT_EQ(sweep::digestOf("").size(), 16u);
 }
 
 TEST_F(SupervisorTest, ResumeSalvagesCheckpointedTasks)
 {
     std::atomic<uint32_t> executions{0};
     auto make_tasks = [&executions] {
-        std::vector<sup::Task> tasks;
+        std::vector<sweep::Task> tasks;
         for (size_t i = 0; i < 5; ++i) {
             tasks.push_back([&executions, i]() -> std::string {
                 ++executions;
@@ -396,22 +326,22 @@ TEST_F(SupervisorTest, ResumeSalvagesCheckpointedTasks)
     };
 
     // First run: everything executes and is checkpointed.
-    sup::setOptions(fastRetries(0));
+    sweep::setOptions(checkpointed());
     std::vector<std::string> payloads;
-    sup::SweepReport first =
-        sup::run("resume-sweep", make_tasks(), payloads, 2);
+    sweep::SweepReport first =
+        sweep::supervise("resume-sweep", make_tasks(), payloads, 2);
     EXPECT_EQ(first.completed, 5u);
     EXPECT_EQ(executions.load(), 5u);
 
     // Second process: resume salvages every task without re-running.
-    sup::resetForTest();
-    sup::Options opt = fastRetries(0);
+    sweep::resetForTest();
+    sweep::Options opt = checkpointed();
     opt.resume = true;
-    sup::setOptions(opt);
-    ASSERT_TRUE(sup::loadManifestFile(manifest_path_));
+    sweep::setOptions(opt);
+    ASSERT_TRUE(sweep::loadManifestFile(manifest_path_));
     std::vector<std::string> payloads2;
-    sup::SweepReport second =
-        sup::run("resume-sweep", make_tasks(), payloads2, 8);
+    sweep::SweepReport second =
+        sweep::supervise("resume-sweep", make_tasks(), payloads2, 8);
     EXPECT_EQ(second.salvaged, 5u);
     EXPECT_EQ(second.completed, 0u);
     EXPECT_EQ(executions.load(), 5u) << "salvaged tasks must not re-run";
@@ -420,11 +350,11 @@ TEST_F(SupervisorTest, ResumeSalvagesCheckpointedTasks)
 
 TEST_F(SupervisorTest, ResumeRejectsDoctoredDigest)
 {
-    sup::setOptions(fastRetries(0));
-    std::vector<sup::Task> tasks = {
+    sweep::setOptions(checkpointed());
+    std::vector<sweep::Task> tasks = {
         []() -> std::string { return "honest"; }};
     std::vector<std::string> payloads;
-    sup::run("digest-sweep", tasks, payloads, 1);
+    sweep::supervise("digest-sweep", tasks, payloads, 1);
 
     // Corrupt the checkpointed payload on disk, keeping the old digest.
     std::FILE *f = std::fopen(manifest_path_.c_str(), "r");
@@ -443,14 +373,14 @@ TEST_F(SupervisorTest, ResumeRejectsDoctoredDigest)
     std::fputs(text.c_str(), f);
     std::fclose(f);
 
-    sup::resetForTest();
-    sup::Options opt = fastRetries(0);
+    sweep::resetForTest();
+    sweep::Options opt = checkpointed();
     opt.resume = true;
-    sup::setOptions(opt);
-    ASSERT_TRUE(sup::loadManifestFile(manifest_path_));
+    sweep::setOptions(opt);
+    ASSERT_TRUE(sweep::loadManifestFile(manifest_path_));
     std::vector<std::string> payloads2;
-    sup::SweepReport report =
-        sup::run("digest-sweep", tasks, payloads2, 1);
+    sweep::SweepReport report =
+        sweep::supervise("digest-sweep", tasks, payloads2, 1);
     // Digest mismatch: the stale payload must lose and the task re-run.
     EXPECT_EQ(report.salvaged, 0u);
     EXPECT_EQ(report.completed, 1u);
@@ -459,12 +389,12 @@ TEST_F(SupervisorTest, ResumeRejectsDoctoredDigest)
 
 TEST_F(SupervisorTest, OnlyRunsSingleTaskIndex)
 {
-    sup::Options opt = fastRetries(0);
+    sweep::Options opt = checkpointed();
     opt.only = 1;
-    sup::setOptions(opt);
+    sweep::setOptions(opt);
 
     std::atomic<uint32_t> executions{0};
-    std::vector<sup::Task> tasks;
+    std::vector<sweep::Task> tasks;
     for (size_t i = 0; i < 3; ++i) {
         tasks.push_back([&executions, i]() -> std::string {
             ++executions;
@@ -472,7 +402,8 @@ TEST_F(SupervisorTest, OnlyRunsSingleTaskIndex)
         });
     }
     std::vector<std::string> payloads;
-    sup::SweepReport report = sup::run("only-sweep", tasks, payloads, 4);
+    sweep::SweepReport report =
+        sweep::supervise("only-sweep", tasks, payloads, 4);
     EXPECT_EQ(executions.load(), 1u);
     EXPECT_EQ(report.completed, 1u);
     EXPECT_EQ(report.skipped, 2u);
@@ -481,20 +412,36 @@ TEST_F(SupervisorTest, OnlyRunsSingleTaskIndex)
     EXPECT_EQ(payloads[2], "");
 }
 
+// --only selects a task of the checkpointed sweeps only: an in-memory
+// fan-out nested inside the selected task must still compute every
+// index, or skipped slots would fold in as default-constructed results.
+TEST_F(SupervisorTest, OnlyDoesNotLeakIntoGuardedMap)
+{
+    sweep::Options opt = checkpointed();
+    opt.only = 0;
+    sweep::setOptions(opt);
+
+    std::vector<int> values = sweep::guardedMap<int>(
+        "only-map", 3, [](size_t i) { return static_cast<int>(i) + 10; },
+        2);
+    EXPECT_EQ(values, (std::vector<int>{10, 11, 12}));
+    ASSERT_FALSE(sweep::reports().empty());
+    EXPECT_EQ(sweep::reports().back().completed, 3u);
+    EXPECT_EQ(sweep::reports().back().skipped, 0u);
+}
+
 TEST_F(SupervisorTest, GuardedMapReturnsTypedResultsAndThrows)
 {
-    sup::Options opt = fastRetries(1);
-    opt.manifest_path.clear();
-    sup::setOptions(opt);
+    sweep::setOptions(sweep::Options{});
 
-    std::vector<int> squares = sup::guardedMap<int>(
+    std::vector<int> squares = sweep::guardedMap<int>(
         "map-ok", 6, [](size_t i) { return static_cast<int>(i * i); },
         3);
     ASSERT_EQ(squares.size(), 6u);
     for (size_t i = 0; i < squares.size(); ++i)
         EXPECT_EQ(squares[i], static_cast<int>(i * i));
 
-    EXPECT_THROW(sup::guardedMap<int>(
+    EXPECT_THROW(sweep::guardedMap<int>(
                      "map-bad", 3,
                      [](size_t i) -> int {
                          if (i == 1)
@@ -507,32 +454,31 @@ TEST_F(SupervisorTest, GuardedMapReturnsTypedResultsAndThrows)
 
 TEST_F(SupervisorTest, GuardBudgetsPropagateIntoNestedSweeps)
 {
-    sup::Options opt;
+    sweep::Options opt;
     opt.max_task_events = 10000;
     opt.manifest_path.clear();
-    sup::setOptions(opt);
+    sweep::setOptions(opt);
 
     // The outer guarded task spawns a nested worker pool; the nested
     // workers must inherit (and charge) the outer task's event budget.
-    std::vector<sup::Task> tasks = {[]() -> std::string {
-        std::vector<uint64_t> charged = sweep::map<uint64_t>(
-            4,
-            [](size_t) -> uint64_t {
-                EXPECT_TRUE(sup::guardActive());
-                sup::chargeGuardEvents(4000);
-                return 1;
-            },
-            4);
-        (void)charged;
-        return "done";
-    }};
-    std::vector<std::string> payloads;
-    sup::SweepReport report =
-        sup::runUncheckpointed("nested-budget", tasks, payloads, 1);
+    sweep::SweepReport report = sweep::runGuarded(
+        "nested-budget",
+        {[] {
+            std::vector<uint64_t> charged = sweep::map<uint64_t>(
+                4,
+                [](size_t) -> uint64_t {
+                    EXPECT_TRUE(sweep::guardActive());
+                    sweep::chargeGuardEvents(4000);
+                    return 1;
+                },
+                4);
+            (void)charged;
+        }},
+        1);
     EXPECT_EQ(report.failed, 1u);
     ASSERT_FALSE(report.errors.empty());
     EXPECT_EQ(report.errors[0].kind,
-              sup::TaskErrorKind::kResourceExhausted);
+              sweep::TaskErrorKind::kResourceExhausted);
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 // isol-lint fixture: P2 known-bad — a deferred callback that
-// default-captures by reference inside a domain. The callback outlives
-// the frame and can run on another shard after a migration.
-// isol: domain(shard_a)
+// default-captures by reference. The callback outlives the frame, so
+// `completions` dangles by the time it runs.
 #include <functional>
 
 struct Sched

@@ -1,7 +1,6 @@
 // isol-lint fixture: P2 known-good — deferred callbacks capture by
 // value (or [this] for the owning component), so nothing dangles when
-// the callback migrates across the shard boundary.
-// isol: domain(shard_a)
+// the callback runs after the frame is gone.
 #include <functional>
 
 struct Sched

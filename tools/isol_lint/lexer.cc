@@ -202,35 +202,4 @@ tokenize(const std::string &src)
     return out;
 }
 
-std::vector<std::string>
-scanIncludes(const std::string &src)
-{
-    std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos < src.size()) {
-        size_t eol = src.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = src.size();
-        size_t p = pos;
-        while (p < eol && (src[p] == ' ' || src[p] == '\t'))
-            ++p;
-        if (p < eol && src[p] == '#') {
-            ++p;
-            while (p < eol && (src[p] == ' ' || src[p] == '\t'))
-                ++p;
-            if (src.compare(p, 7, "include") == 0) {
-                size_t open = src.find('"', p + 7);
-                if (open != std::string::npos && open < eol) {
-                    size_t close = src.find('"', open + 1);
-                    if (close != std::string::npos && close < eol)
-                        out.push_back(
-                            src.substr(open + 1, close - open - 1));
-                }
-            }
-        }
-        pos = eol + 1;
-    }
-    return out;
-}
-
 } // namespace isol_lint

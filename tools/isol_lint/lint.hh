@@ -1,6 +1,6 @@
 /**
  * @file
- * isol-lint: determinism, sharding-safety, and unit-safety static
+ * isol-lint: determinism, capture-safety, and unit-safety static
  * analysis for the simulator tree.
  *
  * A dependency-free (no libclang) token-level checker organised in
@@ -21,20 +21,11 @@
  *       `// isol: parallel` region (summation order then depends on
  *       worker scheduling; fold per-index partials afterwards).
  *
- * Sharding safety (P) — whole-program rules over the cross-TU include
- * graph and the `// isol: domain(<name>)` ownership map; they police
- * the invariants a domain-sharded conservative DES needs:
- *   P1  mutable namespace-scope state owned by one domain referenced
- *       from another domain (reachability over the include graph);
- *       sanctioned cross-domain state carries `// isol: shared(why)`.
+ * Capture safety (P):
  *   P2  deferred callbacks (arguments to at/after/schedule/defer/post)
- *       that default-capture by reference, or explicitly by-reference
- *       capture another domain's state — the callback can outlive its
- *       frame and migrate across the shard boundary.
- *   P3  non-commutative accumulation (container push order; float
- *       compound assignment in domain regions) into state declared
- *       outside a `// isol: parallel` or `// isol: domain` region,
- *       without a `// isol: merge-ordered` marker. Generalises D5.
+ *       under src/ or inside a `// isol: parallel` region that
+ *       default-capture by reference: the callback outlives the frame
+ *       that scheduled it, so every local it names dangles.
  *
  * Unit safety (U) — silent-corruption unit mixups:
  *   U1  raw non-zero integer literals flowing into SimTime-typed
@@ -43,16 +34,8 @@
  *       identifier and the parameter it binds to (`_us` into `_ns`,
  *       `_bytes` into `_sectors`, ... across the blk/ssd boundary).
  *
- * Annotation grammar (machine-read comments):
- *   // isol: domain(<name>)    before the first code token: the whole
- *                              file belongs to <name>; later in the
- *                              file: the next brace block does.
- *   // isol: parallel          next brace block runs on sweep workers.
- *   // isol: shared(<why>)     this declaration is sanctioned
- *                              cross-domain state (barrier/merge
- *                              layer); P1/P2 skip it.
- *   // isol: merge-ordered     this accumulation's merge order is
- *                              explicitly managed; P3 skips it.
+ * `// isol: parallel` marks the next brace block as running on sweep
+ * workers (D5 and P2 read it).
  *
  * Findings are suppressed with `// isol-lint: allow(D2): reason` on the
  * offending line, or on a line of its own above it (a stand-alone
@@ -70,7 +53,6 @@
 #ifndef ISOL_LINT_LINT_HH
 #define ISOL_LINT_LINT_HH
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -97,24 +79,18 @@ struct Token
 };
 
 /**
- * Tokenize C++ source. Comments are kept (rules D5/P3 and suppression
- * handling read them); preprocessor lines are skipped entirely.
+ * Tokenize C++ source. Comments are kept (the parallel marker and
+ * suppression handling read them); preprocessor lines are skipped
+ * entirely.
  */
 std::vector<Token> tokenize(const std::string &source);
-
-/**
- * Extract quoted `#include "..."` targets from a source file (angle
- * includes are system headers and never part of the project graph).
- * Line-based: a directive commented out with `//` is not reported.
- */
-std::vector<std::string> scanIncludes(const std::string &source);
 
 /** One rule violation (or suppressed would-be violation). */
 struct Finding
 {
     std::string file;
     int line = 0;
-    std::string rule; //!< "D1".."D5", "P1".."P3", "U1"
+    std::string rule; //!< "D1".."D5", "P2", "U1"
     std::string message;
     std::string hint; //!< fix-it guidance
 };
@@ -135,35 +111,21 @@ struct LintResult
     std::vector<Finding> unused_suppressions;
 };
 
-/** Rule-family selection and execution knobs for lintFiles(). */
-struct LintOptions
-{
-    /** Enabled families ('D', 'P', 'U'); default all. */
-    std::set<char> families = {'D', 'P', 'U'};
-    /** Worker threads for the per-file passes; 0/1 = serial. The
-     *  finding order is path-sorted and identical for any value. */
-    unsigned jobs = 1;
-};
-
 /**
  * Lint a set of files together. Cross-file state:
  *  - D1: container declarations collected anywhere in the set are
  *    matched against iteration in every file.
- *  - P1/P2: an ownership map (mutable namespace-scope declarations in
- *    `// isol: domain(...)` files) is joined with an include-graph
- *    reachability relation built from the files' quoted includes.
  *  - U1: function signatures with SimTime-typed or unit-suffixed
  *    parameters collected set-wide are matched against call sites.
  *
- * Path scoping: D4 only fires for paths containing a `src/` component;
- * D2 exempts paths ending in `common/rng.hh`; everything else applies
- * to all inputs.
+ * Path scoping: D4 only fires for paths containing a `src/` component,
+ * P2 for those paths plus `// isol: parallel` regions elsewhere; D2
+ * exempts paths ending in `common/rng.hh`; everything else applies to
+ * all inputs.
  */
-LintResult lintFiles(const std::vector<FileInput> &files,
-                     const LintOptions &options);
 LintResult lintFiles(const std::vector<FileInput> &files);
 
-/** Static description of one rule (--list-rules, docs, SARIF). */
+/** Static description of one rule (--list-rules, docs). */
 struct RuleInfo
 {
     const char *id;
@@ -171,16 +133,8 @@ struct RuleInfo
     const char *hint;
 };
 
-/** All rules, in id order (D1..D5, P1..P3, U1). */
+/** All rules, in id order (D1..D5, P2, U1). */
 const std::vector<RuleInfo> &ruleTable();
-
-/**
- * Render a lint result as a deterministic SARIF 2.1.0 document (GitHub
- * code scanning ingests this via codeql-action/upload-sarif).
- * Suppressed findings are included with an in-source suppression so
- * the dashboard shows them as reviewed, not open.
- */
-std::string sarifReport(const LintResult &result);
 
 } // namespace isol_lint
 

@@ -1,23 +1,15 @@
 /**
  * @file
  * isol_lint CLI: scan src/, bench/, and tools/ for determinism (D),
- * sharding-safety (P), and unit-safety (U) hazards — see lint.hh.
+ * capture-safety (P), and unit-safety (U) hazards — see lint.hh.
  *
  * Usage:
- *   isol_lint [--root DIR] [--rules D,P,U] [--jobs N] [--cache FILE]
- *             [--sarif FILE] [--report-unused-suppressions]
+ *   isol_lint [--root DIR] [--report-unused-suppressions]
  *             [--github] [--verbose] [--list-rules] [file...]
  *
  * With explicit files, lints exactly those. Otherwise walks
  * <root>/{src,bench,tools} for *.cc / *.hh, skipping the known-bad
  * fixture corpus under tools/isol_lint/fixtures/.
- *
- * --cache FILE keeps the repo-wide lint sub-second in the ctest hot
- * loop: when nothing changed (by mtime+size, falling back to content
- * digests so a touch without an edit still hits), the previous run's
- * result is replayed without re-running the rule engine. The rules
- * are whole-program, so the cache is valid only for the tree as a
- * whole — any content change re-lints everything.
  *
  * Exit status: 0 when clean, 1 on any unsuppressed finding (or, with
  * --report-unused-suppressions, on any stale allow() comment), 2 on
@@ -26,18 +18,13 @@
  */
 
 #include <algorithm>
-#include <cctype>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "cache.hh"
 #include "lint.hh"
 
 namespace fs = std::filesystem;
@@ -118,23 +105,6 @@ printFinding(const Finding &f, bool github, const char *kind)
         std::printf("    hint: %s\n", f.hint.c_str());
 }
 
-/** Parse --rules: families as letters, commas/spaces ignored. */
-bool
-parseFamilies(const std::string &arg, std::set<char> &out)
-{
-    out.clear();
-    for (char c : arg) {
-        if (c == ',' || c == ' ')
-            continue;
-        char up = static_cast<char>(std::toupper(
-            static_cast<unsigned char>(c)));
-        if (up != 'D' && up != 'P' && up != 'U')
-            return false;
-        out.insert(up);
-    }
-    return !out.empty();
-}
-
 } // namespace
 
 int
@@ -144,11 +114,6 @@ main(int argc, char **argv)
     bool github = false;
     bool verbose = false;
     bool report_unused = false;
-    std::string cache_path;
-    std::string sarif_path;
-    isol_lint::LintOptions options;
-    options.jobs = std::min(8u, std::max(
-        1u, std::thread::hardware_concurrency()));
     std::vector<fs::path> explicit_files;
 
     for (int i = 1; i < argc; ++i) {
@@ -172,30 +137,6 @@ main(int argc, char **argv)
             if (v == nullptr)
                 return 2;
             root = v;
-        } else if (arg == "--rules") {
-            const char *v = value("--rules");
-            if (v == nullptr || !parseFamilies(v, options.families)) {
-                std::fprintf(stderr,
-                             "isol_lint: --rules wants families from "
-                             "{D,P,U}, e.g. --rules D,P,U\n");
-                return 2;
-            }
-        } else if (arg == "--jobs" || arg == "-j") {
-            const char *v = value("--jobs");
-            if (v == nullptr)
-                return 2;
-            options.jobs = static_cast<unsigned>(
-                std::max(1, std::atoi(v)));
-        } else if (arg == "--cache") {
-            const char *v = value("--cache");
-            if (v == nullptr)
-                return 2;
-            cache_path = v;
-        } else if (arg == "--sarif") {
-            const char *v = value("--sarif");
-            if (v == nullptr)
-                return 2;
-            sarif_path = v;
         } else if (arg == "--list-rules") {
             for (const isol_lint::RuleInfo &r : isol_lint::ruleTable()) {
                 std::printf("%s  %s\n    fix: %s\n", r.id, r.summary,
@@ -204,10 +145,10 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
-                "usage: isol_lint [--root DIR] [--rules D,P,U] "
-                "[--jobs N] [--cache FILE] [--sarif FILE]\n"
-                "                 [--report-unused-suppressions] "
-                "[--github] [--verbose] [--list-rules] [file...]\n");
+                "usage: isol_lint [--root DIR] "
+                "[--report-unused-suppressions]\n"
+                "                 [--github] [--verbose] [--list-rules] "
+                "[file...]\n");
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "isol_lint: unknown option '%s'\n",
@@ -226,73 +167,18 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Stat pass first: a stat-clean cache replays the previous result
-    // without reading a single source file.
-    std::vector<isol_lint::FileStat> stats;
-    stats.reserve(files.size());
+    std::vector<isol_lint::FileInput> inputs;
+    inputs.reserve(files.size());
     for (const fs::path &path : files) {
-        std::error_code ec;
-        isol_lint::FileStat s;
-        s.path = displayPath(path, root);
-        s.size = fs::file_size(path, ec);
-        if (!ec) {
-            auto mtime = fs::last_write_time(path, ec);
-            s.mtime_ns =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    mtime.time_since_epoch())
-                    .count();
-        }
-        if (ec) {
-            std::fprintf(stderr, "isol_lint: cannot stat %s\n",
+        std::string content;
+        if (!readFile(path, content)) {
+            std::fprintf(stderr, "isol_lint: cannot read %s\n",
                          path.string().c_str());
             return 2;
         }
-        stats.push_back(std::move(s));
+        inputs.push_back({displayPath(path, root), std::move(content)});
     }
-
-    const unsigned long long tool_digest =
-        isol_lint::toolDigest(options);
-    isol_lint::LintCache cache;
-    bool cache_loaded =
-        !cache_path.empty() && isol_lint::loadCache(cache_path, cache);
-
-    isol_lint::LintResult result;
-    const char *cache_state = "off";
-    if (cache_loaded &&
-        isol_lint::statHit(cache, tool_digest, stats)) {
-        result = cache.result;
-        cache_state = "hit";
-    } else {
-        std::vector<isol_lint::FileInput> inputs;
-        inputs.reserve(files.size());
-        for (size_t i = 0; i < files.size(); ++i) {
-            std::string content;
-            if (!readFile(files[i], content)) {
-                std::fprintf(stderr, "isol_lint: cannot read %s\n",
-                             files[i].string().c_str());
-                return 2;
-            }
-            inputs.push_back({stats[i].path, std::move(content)});
-        }
-        if (cache_loaded &&
-            isol_lint::digestHit(cache, tool_digest, inputs)) {
-            // Touch without edit: replay, refresh the stored mtimes so
-            // the next probe hits on stat alone.
-            result = cache.result;
-            cache_state = "hit";
-            isol_lint::saveCache(
-                cache_path, isol_lint::makeCache(tool_digest, stats,
-                                                 inputs, result));
-        } else {
-            result = isol_lint::lintFiles(inputs, options);
-            cache_state = cache_path.empty() ? "off" : "miss";
-            if (!cache_path.empty()) {
-                isol_lint::saveCache(
-                    cache_path, isol_lint::makeCache(tool_digest, stats,
-                                                     inputs, result));
-            }
-        }
-    }
+    isol_lint::LintResult result = isol_lint::lintFiles(inputs);
 
     for (const Finding &f : result.findings)
         printFinding(f, github, nullptr);
@@ -305,25 +191,12 @@ main(int argc, char **argv)
             printFinding(f, github, "stale-suppression");
     }
 
-    if (!sarif_path.empty()) {
-        std::ofstream out(sarif_path, std::ios::trunc);
-        out << isol_lint::sarifReport(result);
-        if (!out) {
-            std::fprintf(stderr, "isol_lint: cannot write %s\n",
-                         sarif_path.c_str());
-            return 2;
-        }
-    }
-
-    std::string families;
-    for (char f : options.families)
-        families += f;
     std::fprintf(stderr,
-                 "isol_lint: %zu files, families %s, %zu findings "
-                 "(%zu suppressed, %zu stale suppressions), cache %s\n",
-                 files.size(), families.c_str(), result.findings.size(),
+                 "isol_lint: %zu files, %zu findings (%zu suppressed, "
+                 "%zu stale suppressions)\n",
+                 files.size(), result.findings.size(),
                  result.suppressed.size(),
-                 result.unused_suppressions.size(), cache_state);
+                 result.unused_suppressions.size());
     bool failed = !result.findings.empty() ||
                   (report_unused && !result.unused_suppressions.empty());
     return failed ? 1 : 0;

@@ -1,29 +1,23 @@
 /**
  * @file
- * Rule engine for isol-lint: families D (determinism), P (sharding
+ * Rule engine for isol-lint: families D (determinism), P (capture
  * safety), U (unit safety) over the token stream.
  *
- * The engine runs in four phases:
- *   1. per-file views (parallel): tokenize, extract suppressions,
- *      `// isol:` markers (parallel/domain regions, shared,
- *      merge-ordered), and quoted includes;
- *   2. per-file fact collection (parallel): pointer-keyed container
- *      declarations (D1), mutable namespace-scope/static declarations
- *      (D4/P1), and unit-carrying function signatures (U1);
- *   3. global model (serial): registries merged across the set, plus
- *      the include-graph transitive-reachability relation that P1/P2
- *      use to decide whether a foreign symbol is actually visible;
- *   4. per-file rule checks (parallel), merged in input order so the
- *      finding order is identical for any worker count.
+ * The engine runs in three phases:
+ *   1. per file: tokenize, extract suppressions and `// isol: parallel`
+ *      regions, and collect facts: pointer-keyed container declarations
+ *      (D1), mutable namespace-scope/static declarations (D4), and
+ *      unit-carrying function signatures (U1);
+ *   2. global model: the D1 and U1 registries merged across the set;
+ *   3. per file: rule checks, merged in input order and sorted.
  */
 
 #include "lint.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <map>
-#include <thread>
+#include <set>
 
 namespace isol_lint
 {
@@ -59,21 +53,10 @@ const std::vector<RuleInfo> kRules = {
      "collect per-index partial results and fold them after the "
      "parallel section, in index order (see runFairness in "
      "src/isolbench/d2_fairness.cc)"},
-    {"P1",
-     "mutable state owned by one isol domain referenced from another",
-     "route cross-domain state through the barrier/merge layer, or mark "
-     "the declaration `// isol: shared(reason)` if it is sanctioned "
-     "coordination state"},
     {"P2",
-     "deferred callback captures by reference across a domain boundary",
+     "deferred callback default-captures by reference",
      "capture by value (or [this] for the owning component); a deferred "
-     "callback can outlive its frame and migrate to another shard"},
-    {"P3",
-     "order-dependent accumulation inside a parallel/domain region "
-     "without a merge-ordered marker",
-     "accumulate into region-local state and fold in index order, or "
-     "mark the site `// isol: merge-ordered` when the merge layer "
-     "guarantees ordering"},
+     "callback outlives the frame that scheduled it"},
     {"U1",
      "raw integer literal or unit-suffix mismatch flowing into a "
      "unit-typed parameter",
@@ -104,23 +87,14 @@ struct Suppression
     bool used = false; //!< matched at least one (suppressed) finding
 };
 
-/** Inclusive line range tagged by a non-suppression marker. */
-struct LineRange
-{
-    int first_line;
-    int last_line;
-};
-
 /**
- * Token range (code-token indexes) of one annotated brace block:
- * `// isol: parallel` regions and `// isol: domain(<name>)` regions.
+ * Token range (code-token indexes) of one `// isol: parallel` brace
+ * block.
  */
 struct Region
 {
     size_t begin; //!< index of the opening `{`
     size_t end; //!< index of the matching `}`
-    bool parallel = false;
-    std::string domain; //!< empty for plain parallel regions
 };
 
 struct FileView
@@ -128,11 +102,7 @@ struct FileView
     std::string path;
     std::vector<Token> code; //!< comment-free tokens
     std::vector<Suppression> suppressions;
-    std::vector<Region> regions;
-    std::string file_domain; //!< `// isol: domain()` before any code
-    std::vector<LineRange> shared_lines; //!< `// isol: shared()`
-    std::vector<LineRange> merge_ordered_lines;
-    std::vector<std::string> includes; //!< quoted include targets
+    std::vector<Region> regions; //!< `// isol: parallel` blocks
 };
 
 bool
@@ -182,30 +152,12 @@ parseAllows(const std::string &text, int first_line, int last_line,
     }
 }
 
-/**
- * Extract the name inside `isol: <marker>(<name>)`, or "" when the
- * marker is absent. `isol:domain(...)` (no space) is accepted too.
- */
+/** True when the comment carries `isol: parallel` (or `isol:parallel`). */
 bool
-parseMarker(const std::string &text, const char *marker,
-            std::string *name)
+hasParallelMarker(const std::string &text)
 {
-    for (const char *prefix : {"isol: ", "isol:"}) {
-        size_t pos = text.find(std::string(prefix) + marker);
-        if (pos == std::string::npos)
-            continue;
-        if (name != nullptr) {
-            size_t open = text.find('(', pos);
-            size_t close = open == std::string::npos
-                               ? std::string::npos
-                               : text.find(')', open);
-            *name = close == std::string::npos
-                        ? std::string()
-                        : text.substr(open + 1, close - open - 1);
-        }
-        return true;
-    }
-    return false;
+    return text.find("isol: parallel") != std::string::npos ||
+           text.find("isol:parallel") != std::string::npos;
 }
 
 FileView
@@ -213,37 +165,18 @@ buildView(const FileInput &input)
 {
     FileView view;
     view.path = input.path;
-    view.includes = scanIncludes(input.content);
     std::vector<Token> all = tokenize(input.content);
 
     // Lines that contain at least one code (non-comment) token: a
-    // marker comment alone on its line extends to the next such line.
+    // suppression comment alone on its line extends to the next such
+    // line.
     std::set<int> code_lines;
-    size_t first_code_offset = std::string::npos;
     for (const Token &t : all) {
-        if (t.kind != TokKind::kComment) {
+        if (t.kind != TokKind::kComment)
             code_lines.insert(t.line);
-            if (first_code_offset == std::string::npos)
-                first_code_offset = t.offset;
-        }
     }
-    auto lineRange = [&](const Token &t, int end_line) {
-        LineRange range{t.line, end_line};
-        if (code_lines.count(t.line) == 0) {
-            auto next = code_lines.upper_bound(end_line);
-            range.last_line =
-                next != code_lines.end() ? *next : end_line + 1;
-        }
-        return range;
-    };
 
-    struct Marker
-    {
-        size_t offset;
-        bool parallel;
-        std::string domain;
-    };
-    std::vector<Marker> markers;
+    std::vector<size_t> markers; //!< offsets of parallel markers
     for (const Token &t : all) {
         if (t.kind != TokKind::kComment) {
             view.code.push_back(t);
@@ -268,29 +201,17 @@ buildView(const FileInput &input)
             }
             view.suppressions.push_back(s);
         }
-        if (parseMarker(t.text, "parallel", nullptr))
-            markers.push_back({t.offset, true, ""});
-        std::string domain;
-        if (parseMarker(t.text, "domain", &domain) && !domain.empty()) {
-            if (first_code_offset == std::string::npos ||
-                t.offset < first_code_offset)
-                view.file_domain = domain;
-            else
-                markers.push_back({t.offset, false, domain});
-        }
-        if (parseMarker(t.text, "shared", nullptr))
-            view.shared_lines.push_back(lineRange(t, end_line));
-        if (parseMarker(t.text, "merge-ordered", nullptr))
-            view.merge_ordered_lines.push_back(lineRange(t, end_line));
+        if (hasParallelMarker(t.text))
+            markers.push_back(t.offset);
     }
 
     // Resolve each marker to the brace block opened by the next `{`
-    // after the marker (annotate the worker lambda or domain block,
-    // marker above or on the line before its opening brace).
-    for (const Marker &marker : markers) {
+    // after the marker (annotate the worker lambda, marker above or on
+    // the line before its opening brace).
+    for (size_t marker : markers) {
         size_t i = 0;
         while (i < view.code.size() &&
-               !(view.code[i].offset > marker.offset &&
+               !(view.code[i].offset > marker &&
                  view.code[i].text == "{"))
             ++i;
         if (i >= view.code.size())
@@ -303,44 +224,16 @@ buildView(const FileInput &input)
             else if (view.code[j].text == "}" && --depth == 0)
                 break;
         }
-        view.regions.push_back({i, std::min(j, view.code.size() - 1),
-                                marker.parallel, marker.domain});
+        view.regions.push_back({i, std::min(j, view.code.size() - 1)});
     }
     return view;
-}
-
-bool
-lineInRanges(const std::vector<LineRange> &ranges, int line)
-{
-    for (const LineRange &r : ranges) {
-        if (line >= r.first_line && line <= r.last_line)
-            return true;
-    }
-    return false;
-}
-
-/**
- * Domain owning the token at code index `idx`: the innermost enclosing
- * `// isol: domain()` region, else the file-level domain (possibly "").
- */
-std::string
-domainAt(const FileView &view, size_t idx)
-{
-    const Region *best = nullptr;
-    for (const Region &r : view.regions) {
-        if (r.domain.empty() || idx < r.begin || idx > r.end)
-            continue;
-        if (best == nullptr || r.begin > best->begin)
-            best = &r;
-    }
-    return best != nullptr ? best->domain : view.file_domain;
 }
 
 bool
 insideParallelRegion(const FileView &view, size_t idx)
 {
     for (const Region &r : view.regions) {
-        if (r.parallel && idx > r.begin && idx < r.end)
+        if (idx > r.begin && idx < r.end)
             return true;
     }
     return false;
@@ -487,25 +380,13 @@ struct ContainerDecl
     int line;
 };
 
-/** One mutable namespace-scope / static declaration (D4 and P1). */
+/** One mutable namespace-scope / static declaration (D4). */
 struct MutableDecl
 {
     std::string name;
     int line = 0;
-    size_t token = 0; //!< code index of the statement's first token
     bool namespace_scope = false;
     bool thread_local_ = false;
-};
-
-/** P1 ownership-map entry: who owns one mutable symbol. */
-struct OwnedSymbol
-{
-    std::string name;
-    std::string file;
-    std::string domain;
-    int line = 0;
-    size_t view = 0; //!< index into the view vector
-    bool shared = false; //!< `// isol: shared()` sanctioned
 };
 
 /** U1 registry: one collected function signature. */
@@ -532,11 +413,7 @@ struct GlobalModel
 {
     std::map<std::string, ContainerDecl> containers_by_name;
     std::set<std::string> benign_names;
-    std::map<std::string, std::vector<OwnedSymbol>> owned;
     std::map<std::string, std::vector<Signature>> signatures;
-    /** reach[i] = view indexes transitively included by view i
-     *  (always contains i itself). */
-    std::vector<std::set<size_t>> reach;
 };
 
 const std::set<std::string> &
@@ -848,12 +725,11 @@ checkD3(FileView &view, FileResult &out)
     }
 }
 
-// --- D4 / P1 fact collection: mutable global & static state -----------
+// --- D4 fact collection: mutable global & static state ---------------
 
 /**
  * Scan a file for mutable namespace-scope or static/thread_local
- * declarations. D4 emits them (src/ only); P1 registers the
- * namespace-scope ones as domain-owned state.
+ * declarations. D4 emits them (src/ only).
  */
 std::vector<MutableDecl>
 collectMutableDecls(const FileView &view)
@@ -943,7 +819,7 @@ collectMutableDecls(const FileView &view)
                 return;
             name = code[end - 1].text;
         }
-        out.push_back({name, first.line, begin, namespace_scope,
+        out.push_back({name, first.line, namespace_scope,
                        has_thread_local});
     };
 
@@ -1018,7 +894,7 @@ checkD4(FileView &view, const std::vector<MutableDecl> &decls,
     }
 }
 
-// --- D5 / P3: order-dependent accumulation ----------------------------
+// --- D5: order-dependent accumulation --------------------------------
 
 /** Float/double variable declarations, by name -> decl token indexes. */
 std::map<std::string, std::vector<size_t>>
@@ -1036,33 +912,6 @@ collectFloatDecls(const FileView &view)
         fp_decls[code[i + 1].text].push_back(i);
     }
     return fp_decls;
-}
-
-/** Container variable declarations, by name -> decl token indexes. */
-std::map<std::string, std::vector<size_t>>
-collectContainerDecls(const FileView &view)
-{
-    static const std::set<std::string> kContainers = {
-        "vector", "deque", "list", "forward_list", "map", "set",
-        "multimap", "multiset", "string", "unordered_map",
-        "unordered_set", "unordered_multimap", "unordered_multiset",
-        "RingDeque"};
-    std::map<std::string, std::vector<size_t>> decls;
-    const std::vector<Token> &code = view.code;
-    for (size_t i = 0; i + 1 < code.size(); ++i) {
-        if (code[i].kind != TokKind::kIdent ||
-            kContainers.count(code[i].text) == 0)
-            continue;
-        size_t after = i + 1;
-        if (code[after].text == "<")
-            after = scanTemplateArgs(code, after, nullptr, nullptr);
-        if (after >= code.size() || code[after].kind != TokKind::kIdent)
-            continue;
-        if (after + 1 < code.size() && code[after + 1].text == "(")
-            continue;
-        decls[code[after].text].push_back(i);
-    }
-    return decls;
 }
 
 /**
@@ -1130,10 +979,7 @@ declaredOutsideRegion(const std::map<std::string, std::vector<size_t>> &decls,
 void
 checkD5(FileView &view, FileResult &out)
 {
-    bool any_parallel = false;
-    for (const Region &r : view.regions)
-        any_parallel = any_parallel || r.parallel;
-    if (!any_parallel)
+    if (view.regions.empty())
         return;
     const std::vector<Token> &code = view.code;
     std::map<std::string, std::vector<size_t>> fp_decls =
@@ -1143,12 +989,8 @@ checkD5(FileView &view, FileResult &out)
 
     static const std::set<std::string> kAccum = {"+=", "-=", "*=", "/="};
     for (const Region &region : view.regions) {
-        if (!region.parallel)
-            continue;
         for (size_t i = region.begin + 1; i < region.end; ++i) {
             if (kAccum.count(code[i].text) == 0)
-                continue;
-            if (lineInRanges(view.merge_ordered_lines, code[i].line))
                 continue;
             std::string root =
                 rootIdentifierBefore(code, i, region.begin);
@@ -1163,123 +1005,17 @@ checkD5(FileView &view, FileResult &out)
     }
 }
 
+// --- P2: default by-reference captures in deferred callbacks ---------
+
 /**
- * P3: container pushes (any region kind) and float accumulation
- * (domain regions; parallel-region floats stay D5's) into state
- * declared outside the region, without a merge-ordered marker.
+ * Flag a lambda argument of at/after/schedule/defer/post whose capture
+ * list holds a bare `&` (default capture by reference). Applies under
+ * src/ and inside `// isol: parallel` regions elsewhere.
  */
 void
-checkP3(FileView &view, FileResult &out)
+checkP2(FileView &view, FileResult &out)
 {
-    if (view.regions.empty())
-        return;
-    const std::vector<Token> &code = view.code;
-    std::map<std::string, std::vector<size_t>> fp_decls =
-        collectFloatDecls(view);
-    std::map<std::string, std::vector<size_t>> container_decls =
-        collectContainerDecls(view);
-
-    static const std::set<std::string> kPush = {
-        "push_back", "emplace_back", "push_front", "emplace_front",
-        "push", "emplace", "insert", "append"};
-    static const std::set<std::string> kAccum = {"+=", "-=", "*=", "/="};
-
-    for (const Region &region : view.regions) {
-        const bool domain_region = !region.domain.empty();
-        if (!region.parallel && !domain_region)
-            continue;
-        const char *where = domain_region ? "domain" : "parallel";
-        for (size_t i = region.begin + 1; i < region.end; ++i) {
-            if (lineInRanges(view.merge_ordered_lines, code[i].line))
-                continue;
-            // Container push: `target.push_back(...)`.
-            if (code[i].kind == TokKind::kIdent &&
-                kPush.count(code[i].text) != 0 && i + 1 < code.size() &&
-                code[i + 1].text == "(" && i > region.begin + 1 &&
-                (code[i - 1].text == "." || code[i - 1].text == "->")) {
-                std::string root =
-                    rootIdentifierBefore(code, i - 1, region.begin);
-                if (!root.empty() &&
-                    declaredOutsideRegion(container_decls, root, region,
-                                          i)) {
-                    emit(out, view, code[i].line, "P3",
-                         "'" + code[i].text + "' into container '" +
-                             root + "' declared outside the " + where +
-                             " region: element order depends on "
-                             "execution interleaving (mark `// isol: "
-                             "merge-ordered` if the merge layer sorts)");
-                }
-                continue;
-            }
-            // Float accumulation inside domain regions (parallel
-            // regions keep the historical D5 id for this hazard).
-            if (domain_region && kAccum.count(code[i].text) != 0) {
-                std::string root =
-                    rootIdentifierBefore(code, i, region.begin);
-                if (!root.empty() &&
-                    declaredOutsideRegion(fp_decls, root, region, i)) {
-                    emit(out, view, code[i].line, "P3",
-                         "floating-point accumulation into '" + root +
-                             "' declared outside the domain region: "
-                             "the shard merge order decides the sum");
-                }
-            }
-        }
-    }
-}
-
-// --- P1: cross-domain mutable-state references ------------------------
-
-void
-checkP1(FileView &view, size_t view_idx, const GlobalModel &model,
-        FileResult &out)
-{
-    if (model.owned.empty())
-        return;
-    const std::vector<Token> &code = view.code;
-    for (size_t i = 0; i < code.size(); ++i) {
-        const Token &t = code[i];
-        if (t.kind != TokKind::kIdent)
-            continue;
-        auto it = model.owned.find(t.text);
-        if (it == model.owned.end())
-            continue;
-        if (i > 0 &&
-            (code[i - 1].text == "." || code[i - 1].text == "->"))
-            continue; // member access, not the namespace-scope symbol
-        std::string my_domain = domainAt(view, i);
-        if (my_domain.empty())
-            continue; // un-annotated code is outside the sharding plan
-        bool same_domain_candidate = false;
-        const OwnedSymbol *foreign = nullptr;
-        for (const OwnedSymbol &sym : it->second) {
-            if (sym.view == view_idx && sym.line == t.line)
-                continue; // the declaration itself
-            if (sym.domain == my_domain) {
-                same_domain_candidate = true;
-                break;
-            }
-            if (!sym.shared && foreign == nullptr &&
-                model.reach[view_idx].count(sym.view) != 0)
-                foreign = &sym;
-        }
-        if (same_domain_candidate || foreign == nullptr)
-            continue;
-        emit(out, view, t.line, "P1",
-             "'" + t.text + "' is mutable state owned by domain '" +
-                 foreign->domain + "' (" + foreign->file + ":" +
-                 std::to_string(foreign->line) +
-                 ") but referenced from domain '" + my_domain +
-                 "': a shard must not reach into another shard's state");
-    }
-}
-
-// --- P2: by-reference captures escaping into deferred callbacks -------
-
-void
-checkP2(FileView &view, size_t view_idx, const GlobalModel &model,
-        FileResult &out)
-{
+    const bool in_src = pathHasSrcComponent(view.path);
     const std::vector<Token> &code = view.code;
     static const std::set<std::string> kSinks = {"at", "after",
                                                  "schedule", "defer",
@@ -1290,69 +1026,19 @@ checkP2(FileView &view, size_t view_idx, const GlobalModel &model,
             continue;
         if (i > 0 && code[i - 1].kind == TokKind::kIdent)
             continue; // declaration of a function with a sink name
-        bool in_scope = !domainAt(view, i).empty() ||
-                        insideParallelRegion(view, i);
-        if (!in_scope)
+        if (!in_src && !insideParallelRegion(view, i))
             continue;
-        size_t close = std::string::npos;
-        auto chunks = splitTopLevel(code, i + 1, &close);
-        for (const auto &[begin, end] : chunks) {
+        for (const auto &[begin, end] : splitTopLevel(code, i + 1, nullptr)) {
             if (begin >= end || code[begin].text != "[")
                 continue; // not a lambda argument
-            size_t cap_close = matchForward(code, begin, "[", "]");
-            if (cap_close == std::string::npos || cap_close >= end)
+            // A default capture must lead the list: `[&]` or `[&, x]`.
+            if (code[begin + 1].text != "&" ||
+                (code[begin + 2].text != "]" && code[begin + 2].text != ","))
                 continue;
-            // Walk the capture list's top-level elements.
-            size_t k = begin + 1;
-            int depth = 0;
-            bool elem_start = true;
-            while (k < cap_close) {
-                const std::string &txt = code[k].text;
-                if (txt == "[" || txt == "(" || txt == "{") {
-                    ++depth;
-                } else if (txt == "]" || txt == ")" || txt == "}") {
-                    --depth;
-                } else if (depth == 0 && txt == ",") {
-                    elem_start = true;
-                    ++k;
-                    continue;
-                }
-                if (depth == 0 && elem_start && txt == "&") {
-                    bool named = k + 1 < cap_close &&
-                                 code[k + 1].kind == TokKind::kIdent;
-                    if (!named) {
-                        emit(out, view, code[k].line, "P2",
-                             "deferred callback passed to '" +
-                                 code[i].text +
-                                 "()' default-captures by reference; "
-                                 "the callback outlives this frame");
-                    } else {
-                        const std::string &cap = code[k + 1].text;
-                        auto oit = model.owned.find(cap);
-                        if (oit != model.owned.end()) {
-                            std::string my_domain = domainAt(view, k);
-                            for (const OwnedSymbol &sym : oit->second) {
-                                if (sym.shared ||
-                                    sym.domain == my_domain ||
-                                    model.reach[view_idx].count(
-                                        sym.view) == 0)
-                                    continue;
-                                emit(out, view, code[k].line, "P2",
-                                     "deferred callback by-reference "
-                                     "captures '" +
-                                         cap + "' owned by domain '" +
-                                         sym.domain + "' (" + sym.file +
-                                         ":" +
-                                         std::to_string(sym.line) +
-                                         ")");
-                                break;
-                            }
-                        }
-                    }
-                }
-                elem_start = false;
-                ++k;
-            }
+            emit(out, view, code[begin + 1].line, "P2",
+                 "deferred callback passed to '" + code[i].text +
+                     "()' default-captures by reference; the callback "
+                     "outlives this frame");
         }
     }
 }
@@ -1533,66 +1219,6 @@ checkU1(FileView &view, const GlobalModel &model, FileResult &out)
     }
 }
 
-// --- Parallel driver ---------------------------------------------------
-
-template <typename Fn>
-void
-forEachIndex(size_t n, unsigned jobs, Fn fn)
-{
-    if (jobs <= 1 || n <= 1) {
-        for (size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    std::atomic<size_t> next{0};
-    auto worker = [&] {
-        for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1))
-            fn(i);
-    };
-    size_t nthreads = std::min<size_t>(jobs, n);
-    std::vector<std::thread> threads;
-    threads.reserve(nthreads - 1);
-    for (size_t t = 1; t < nthreads; ++t)
-        threads.emplace_back(worker);
-    worker();
-    for (std::thread &t : threads)
-        t.join();
-}
-
-/** Resolve quoted includes against the file set (suffix matching). */
-std::vector<std::set<size_t>>
-computeReachability(const std::vector<FileView> &views)
-{
-    const size_t n = views.size();
-    std::vector<std::vector<size_t>> edges(n);
-    for (size_t i = 0; i < n; ++i) {
-        for (const std::string &inc : views[i].includes) {
-            for (size_t j = 0; j < n; ++j) {
-                const std::string &p = views[j].path;
-                if (p == inc ||
-                    (p.size() > inc.size() + 1 &&
-                     p.compare(p.size() - inc.size(), inc.size(), inc) ==
-                         0 &&
-                     p[p.size() - inc.size() - 1] == '/'))
-                    edges[i].push_back(j);
-            }
-        }
-    }
-    std::vector<std::set<size_t>> reach(n);
-    for (size_t i = 0; i < n; ++i) {
-        std::vector<size_t> stack = {i};
-        while (!stack.empty()) {
-            size_t v = stack.back();
-            stack.pop_back();
-            if (!reach[i].insert(v).second)
-                continue;
-            for (size_t w : edges[v])
-                stack.push_back(w);
-        }
-    }
-    return reach;
-}
-
 } // namespace
 
 const std::vector<RuleInfo> &
@@ -1604,103 +1230,56 @@ ruleTable()
 LintResult
 lintFiles(const std::vector<FileInput> &files)
 {
-    return lintFiles(files, LintOptions{});
-}
-
-LintResult
-lintFiles(const std::vector<FileInput> &files, const LintOptions &options)
-{
     LintResult result;
-    const bool fam_d = options.families.count('D') != 0;
-    const bool fam_p = options.families.count('P') != 0;
-    const bool fam_u = options.families.count('U') != 0;
 
-    // Phase 1+2 (parallel): per-file views and facts.
+    // Phase 1: per-file views and facts.
     std::vector<FileView> views(files.size());
     std::vector<FileFacts> facts(files.size());
-    forEachIndex(files.size(), options.jobs, [&](size_t i) {
-        views[i] = buildView(files[i]);
-        if (fam_d) {
-            collectPointerKeyedContainers(views[i], facts[i]);
-            collectBenignContainerNames(views[i],
-                                        facts[i].benign_names);
-        }
-        if (fam_d || fam_p)
-            facts[i].mutable_decls = collectMutableDecls(views[i]);
-        if (fam_u)
-            collectSignatures(views[i], facts[i]);
-    });
-
-    // Phase 3 (serial): the global program model.
-    GlobalModel model;
     for (size_t i = 0; i < files.size(); ++i) {
-        for (const ContainerDecl &d : facts[i].d1_decls)
+        views[i] = buildView(files[i]);
+        collectPointerKeyedContainers(views[i], facts[i]);
+        collectBenignContainerNames(views[i], facts[i].benign_names);
+        facts[i].mutable_decls = collectMutableDecls(views[i]);
+        collectSignatures(views[i], facts[i]);
+    }
+
+    // Phase 2: the global program model.
+    GlobalModel model;
+    for (const FileFacts &f : facts) {
+        for (const ContainerDecl &d : f.d1_decls)
             model.containers_by_name.emplace(d.name, d);
-        model.benign_names.insert(facts[i].benign_names.begin(),
-                                  facts[i].benign_names.end());
-        for (const auto &[name, sigs] : facts[i].signatures) {
+        model.benign_names.insert(f.benign_names.begin(),
+                                  f.benign_names.end());
+        for (const auto &[name, sigs] : f.signatures) {
             auto &dst = model.signatures[name];
             dst.insert(dst.end(), sigs.begin(), sigs.end());
         }
-        if (fam_p) {
-            for (const MutableDecl &d : facts[i].mutable_decls) {
-                if (!d.namespace_scope)
-                    continue; // only globally reachable state shards
-                std::string domain = domainAt(views[i], d.token);
-                if (domain.empty())
-                    continue; // file is outside the ownership map
-                model.owned[d.name].push_back(
-                    {d.name, views[i].path, domain, d.line, i,
-                     lineInRanges(views[i].shared_lines, d.line)});
-            }
-        }
     }
-    model.reach = fam_p ? computeReachability(views)
-                        : std::vector<std::set<size_t>>(views.size());
 
-    // Phase 4 (parallel): per-file rule checks.
-    std::vector<FileResult> outs(files.size());
-    forEachIndex(files.size(), options.jobs, [&](size_t i) {
-        FileView &view = views[i];
-        FileResult &out = outs[i];
-        if (fam_d) {
-            for (const auto &[line, message] :
-                 facts[i].d1_decl_findings)
-                emit(out, view, line, "D1", std::string(message));
-            checkD1Iteration(view, model, out);
-            checkD2(view, out);
-            checkD3(view, out);
-            checkD4(view, facts[i].mutable_decls, out);
-            checkD5(view, out);
-        }
-        if (fam_p) {
-            checkP1(view, i, model, out);
-            checkP2(view, i, model, out);
-            checkP3(view, out);
-        }
-        if (fam_u)
-            checkU1(view, model, out);
-    });
-
-    // Phase 5 (serial): merge in input order, then sort.
+    // Phase 3: per-file rule checks, merged in input order.
     for (size_t i = 0; i < files.size(); ++i) {
+        FileView &view = views[i];
+        FileResult out;
+        for (const auto &[line, message] : facts[i].d1_decl_findings)
+            emit(out, view, line, "D1", std::string(message));
+        checkD1Iteration(view, model, out);
+        checkD2(view, out);
+        checkD3(view, out);
+        checkD4(view, facts[i].mutable_decls, out);
+        checkD5(view, out);
+        checkP2(view, out);
+        checkU1(view, model, out);
+
         result.findings.insert(result.findings.end(),
-                               outs[i].findings.begin(),
-                               outs[i].findings.end());
+                               out.findings.begin(), out.findings.end());
         result.suppressed.insert(result.suppressed.end(),
-                                 outs[i].suppressed.begin(),
-                                 outs[i].suppressed.end());
-        for (const Suppression &s : views[i].suppressions) {
+                                 out.suppressed.begin(),
+                                 out.suppressed.end());
+        for (const Suppression &s : view.suppressions) {
             if (s.used)
                 continue;
-            bool reportable =
-                s.rule == "*"
-                    ? (fam_d && fam_p && fam_u)
-                    : options.families.count(s.rule[0]) != 0;
-            if (!reportable)
-                continue;
             Finding f;
-            f.file = views[i].path;
+            f.file = view.path;
             f.line = s.comment_line;
             f.rule = s.rule;
             f.message = "suppression allow(" + s.rule +
@@ -1710,7 +1289,6 @@ lintFiles(const std::vector<FileInput> &files, const LintOptions &options)
             result.unused_suppressions.push_back(std::move(f));
         }
     }
-
     auto order = [](const Finding &a, const Finding &b) {
         if (a.file != b.file)
             return a.file < b.file;

@@ -22,7 +22,6 @@
  *                         fault-injection profile (default off)
  *   --jobs <n>            sweep worker threads for parallel runners
  *                         (default: hardware concurrency)
- *   --retries <n>         extra attempts when the run fails (default 0)
  *   --task-timeout-ms <n> wall-clock watchdog for the run
  *   --task-max-events <n> simulated-event budget for the run
  *   --adversary <queue-flood|gc-storm|square-wave|flush-storm|slow-drain>
@@ -56,7 +55,6 @@
 #include "common/strings.hh"
 #include "fault/fault.hh"
 #include "isolbench/scenario.hh"
-#include "isolbench/supervisor.hh"
 #include "isolbench/sweep.hh"
 #include "stats/fault_table.hh"
 #include "stats/table.hh"
@@ -103,7 +101,7 @@ printUsage()
         "  --duration MS | --warmup MS | --precondition | --seed N\n"
         "  --faults off|media|thermal|all\n"
         "  --jobs N   (sweep worker threads; default hw concurrency)\n"
-        "  --retries N | --task-timeout-ms N | --task-max-events N\n"
+        "  --task-timeout-ms N | --task-max-events N\n"
         "  --adversary queue-flood|gc-storm|square-wave|flush-storm|\n"
         "              slow-drain    (misbehaving tenant in cgroup 'adv')\n"
         "  --check-invariants        (runtime invariant checker)\n"
@@ -247,7 +245,7 @@ main(int argc, char **argv)
     std::vector<KnobWrite> writes;
     bool csv = false;
     workload::AdversaryKind adversary = workload::AdversaryKind::kNone;
-    supervisor::Options sup = supervisor::options();
+    sweep::Options sup = sweep::options();
 
     auto next_value = [&](int &i, const char *opt) -> std::string {
         if (i + 1 >= argc)
@@ -310,11 +308,6 @@ main(int argc, char **argv)
             if (!parsed || *parsed == 0)
                 usageError("bad --jobs");
             sweep::setDefaultJobs(static_cast<uint32_t>(*parsed));
-        } else if (arg == "--retries") {
-            auto parsed = parseUint(next_value(i, "--retries"));
-            if (!parsed)
-                usageError("bad --retries");
-            sup.retries = static_cast<uint32_t>(*parsed);
         } else if (arg == "--task-timeout-ms") {
             auto parsed = parseUint(next_value(i, "--task-timeout-ms"));
             if (!parsed)
@@ -361,7 +354,6 @@ main(int argc, char **argv)
         std::optional<Scenario> scenario_slot;
         std::vector<Placed> placed;
         auto buildAndRun = [&] {
-            // A retry rebuilds the whole scenario: a Scenario runs once.
             scenario_slot.emplace(cfg);
             Scenario &scenario = *scenario_slot;
             placed.clear();
@@ -391,13 +383,12 @@ main(int argc, char **argv)
             scenario.run();
         };
 
-        if (sup.retries > 0 || sup.task_timeout_ms > 0.0 ||
-            sup.max_task_events > 0) {
-            // Supervised run: watchdog/event-budget guards plus retries,
-            // so a wedged or invalid configuration fails with a
-            // classified error instead of hanging the terminal.
-            supervisor::setOptions(sup);
-            supervisor::guardedMap<int>("cli", 1, [&](size_t) {
+        if (sup.task_timeout_ms > 0.0 || sup.max_task_events > 0) {
+            // Supervised run: watchdog/event-budget guards, so a wedged
+            // or invalid configuration fails with a classified error
+            // instead of hanging the terminal.
+            sweep::setOptions(sup);
+            sweep::guardedMap<int>("cli", 1, [&](size_t) {
                 buildAndRun();
                 return 0;
             });
@@ -451,7 +442,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "isolbench: %s\n", e.what());
         return 1;
     } catch (const std::exception &e) {
-        // SweepError (supervised run out of retries), invariant
+        // SweepError (supervised run failed), invariant
         // violations from result validation, watchdog/budget aborts.
         std::fprintf(stderr, "isolbench: %s\n", e.what());
         return 1;

@@ -23,7 +23,7 @@ cmake -S "$SRC_DIR" -B "$ASAN_DIR" -DISOL_SANITIZE=address
 cmake --build "$ASAN_DIR" -j
 cmake --build "$ASAN_DIR" --target smoke
 if ! "$ASAN_DIR/tools/isol_lint/isol_lint" --root "$SRC_DIR" \
-        --rules D,P,U --report-unused-suppressions; then
+        --report-unused-suppressions; then
     echo "sanitize_smoke: isol_lint found violations (or stale" \
         "suppressions); failing the smoke" >&2
     exit 1
