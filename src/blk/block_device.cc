@@ -75,8 +75,10 @@ BlockDevice::finalInvariantChecks()
 {
     if (inv_ == nullptr)
         return;
-    if (io_max_)
+    if (io_max_) {
         io_max_->verifyHierarchicalConsumption();
+        io_max_->verifyWaiters();
+    }
     if (io_cost_)
         io_cost_->checkHierarchicalCharges();
 }

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "common/alloc_hook.hh"
 #include "common/strings.hh"
 #include "isolbench/scenario.hh"
+#include "sim/invariants.hh"
 #include "workload/app_profiles.hh"
 
 namespace isol::isolbench
@@ -74,6 +76,56 @@ TEST(ZeroAlloc, SteadyStateHotPathDoesNotAllocate)
     common::AllocCounters counters = common::allocCounters();
     uint64_t ios = totalIos(scenario) - ios_at_mark;
     ASSERT_GT(ios, 10000u) << "scenario too small to be meaningful";
+
+    double per_io = static_cast<double>(counters.allocs) /
+                    static_cast<double>(ios);
+    EXPECT_LT(per_io, 0.01)
+        << counters.allocs << " allocations over " << ios
+        << " steady-state I/Os (" << counters.bytes << " bytes)";
+}
+
+TEST(ZeroAlloc, SteadyStateInteriorIoMaxDoesNotAllocate)
+{
+    if (!common::allocCountingEnabled())
+        GTEST_SKIP() << "built without ISOL_COUNT_ALLOCS";
+
+    // Two pods of eight mixed read/write tenants under pod-level
+    // rbps/wbps: throttled tenants park in, and wake from, the pods'
+    // intrusive waiter FIFOs, which must not touch the heap.
+    ScenarioConfig cfg;
+    cfg.knob = Knob::kIoMax;
+    cfg.duration = msToNs(600);
+    cfg.warmup = msToNs(100);
+    cfg.check_invariants = false;
+    Scenario scenario(cfg);
+    for (int pod = 0; pod < 2; ++pod) {
+        for (int i = 0; i < 8; ++i) {
+            workload::JobSpec spec = workload::batchApp(
+                strCat("p", pod, "t", i), msToNs(600));
+            spec.iodepth = 8;
+            spec.read_fraction = 0.7;
+            scenario.addApp(std::move(spec), strCat("pod", pod, "/t", i));
+        }
+    }
+    for (int pod = 0; pod < 2; ++pod) {
+        scenario.tree().writeFile(scenario.group(strCat("pod", pod)),
+                                  "io.max",
+                                  strCat("259:0 rbps=", 64 * MiB,
+                                         " wbps=", 32 * MiB));
+    }
+
+    uint64_t ios_at_mark = 0;
+    scenario.sim().at(msToNs(300), [&] {
+        ios_at_mark = totalIos(scenario);
+        common::resetAllocCounters();
+    });
+    scenario.run();
+
+    common::AllocCounters counters = common::allocCounters();
+    uint64_t ios = totalIos(scenario) - ios_at_mark;
+    ASSERT_GT(ios, 10000u) << "scenario too small to be meaningful";
+    ASSERT_GT(scenario.device(0).ioMaxGate()->throttled(), 0u)
+        << "the pod limits must throttle";
 
     double per_io = static_cast<double>(counters.allocs) /
                     static_cast<double>(ios);
@@ -145,6 +197,7 @@ TEST(ZeroAlloc, CgroupChurnReleasesGateState)
     // Every gate dropped every removed group's state...
     EXPECT_EQ(cost.trackedGroups(), 0u);
     EXPECT_EQ(iomax.trackedGroups(), 0u);
+    EXPECT_EQ(iomax.parkedWaiters(), 0u);
     EXPECT_EQ(iolat.trackedGroups(), 0u);
     EXPECT_EQ(bfq.trackedQueues(), 0u);
     // ...the tree recycled ids instead of growing its slot table...
@@ -154,6 +207,72 @@ TEST(ZeroAlloc, CgroupChurnReleasesGateState)
     // ...and the heap balanced: what the churn allocated, removal freed.
     common::AllocCounters counters = common::allocCounters();
     EXPECT_GT(counters.frees, 0u);
+    int64_t outstanding = static_cast<int64_t>(counters.allocs) -
+                          static_cast<int64_t>(counters.frees);
+    EXPECT_LT(outstanding, 64)
+        << counters.allocs << " allocs vs " << counters.frees
+        << " frees across " << kBatch * kBatches << " churned groups";
+}
+
+TEST(ZeroAlloc, IoMaxChurnUnderSharedLimitClearsWaiterLinks)
+{
+    if (!common::allocCountingEnabled())
+        GTEST_SKIP() << "built without ISOL_COUNT_ALLOCS";
+
+    // Batches of leaves under one limited pod park in its waiter FIFO,
+    // drain, and are removed; recycled ids must start unlinked, the
+    // pod's FIFO and wake must be empty between batches, and the heap
+    // must balance.
+    sim::Simulator sim;
+    cgroup::CgroupTree tree;
+    tree.writeFile(tree.root(), "cgroup.subtree_control", "+io");
+    cgroup::Cgroup &pod = tree.createChild(tree.root(), "pod");
+    tree.enableIoController(pod);
+    tree.writeFile(pod, "io.max", "259:0 rbps=4194304 wbps=4194304");
+
+    sim::InvariantChecker inv("iomax-churn");
+    blk::IoMaxGate iomax(sim, 0, tree, [](blk::Request *) {});
+    iomax.setInvariants(&inv);
+
+    constexpr int kBatch = 8;
+    constexpr int kPerGroup = 4;
+    constexpr int kBatches = 125;
+    std::vector<blk::Request> reqs(kBatch * kPerGroup);
+    size_t max_parked = 0;
+    for (int b = 0; b < kBatches + 1; ++b) {
+        if (b == 1)
+            common::resetAllocCounters();
+        std::vector<cgroup::Cgroup *> batch;
+        for (int i = 0; i < kBatch; ++i) {
+            cgroup::Cgroup &cg = tree.createChild(pod, strCat("churn", i));
+            tree.attachProcess(cg);
+            batch.push_back(&cg);
+            for (int k = 0; k < kPerGroup; ++k) {
+                blk::Request &req = reqs[i * kPerGroup + k];
+                req.op = k % 2 == 0 ? OpType::kRead : OpType::kWrite;
+                req.size = 4096;
+                req.cg = &cg;
+                iomax.submit(&req);
+            }
+        }
+        max_parked = std::max(max_parked, iomax.parkedWaiters());
+        iomax.verifyWaiters();
+        sim.runUntil(sim.now() + msToNs(100));
+        ASSERT_EQ(iomax.throttled(), 0u) << "batch " << b;
+        for (cgroup::Cgroup *cg : batch) {
+            tree.detachProcess(*cg);
+            tree.removeGroup(*cg);
+        }
+        EXPECT_EQ(iomax.parkedWaiters(), 0u);
+        EXPECT_EQ(iomax.wakeTimeOf(&pod, OpType::kRead), -1);
+        EXPECT_EQ(iomax.wakeTimeOf(&pod, OpType::kWrite), -1);
+        iomax.verifyWaiters();
+    }
+
+    EXPECT_GT(max_parked, 0u);
+    EXPECT_EQ(iomax.trackedGroups(), 1u);
+    EXPECT_LE(tree.idCapacity(), static_cast<uint32_t>(kBatch + 2));
+    common::AllocCounters counters = common::allocCounters();
     int64_t outstanding = static_cast<int64_t>(counters.allocs) -
                           static_cast<int64_t>(counters.frees);
     EXPECT_LT(outstanding, 64)
