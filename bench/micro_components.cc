@@ -567,6 +567,26 @@ BM_FtlRandomWrite(benchmark::State &state)
 BENCHMARK(BM_FtlRandomWrite);
 
 void
+BM_FtlPrecondition(benchmark::State &state)
+{
+    // A whole fill plus two random-overwrite passes, the set-up of every
+    // write scenario: exercises the draw look-ahead and bulk GC moves.
+    ssd::SsdConfig cfg = ssd::samsung980ProLike();
+    cfg.user_capacity = 256 * MiB;
+    cfg.channels = 4;
+    cfg.dies_per_channel = 4;
+    for (auto _ : state) {
+        ssd::Ftl ftl(cfg);
+        Rng rng(1);
+        ftl.preconditionSequentialFill(1.0);
+        ftl.preconditionRandomOverwrite(cfg.numLogicalPages() * 2, rng);
+        benchmark::DoNotOptimize(ftl.gcPagesMoved());
+    }
+    state.SetItemsProcessed(state.iterations() * cfg.numLogicalPages() * 3);
+}
+BENCHMARK(BM_FtlPrecondition)->Unit(benchmark::kMillisecond);
+
+void
 BM_IoCostAbsCost(benchmark::State &state)
 {
     sim::Simulator sim;

@@ -11,6 +11,11 @@ namespace
 {
 // Blocks held back per die so GC always has somewhere to move pages.
 constexpr uint32_t kGcReservedBlocks = 1;
+// Victim slots between a mapping-entry prefetch and its GC move.
+constexpr uint32_t kMovePrefetch = 16;
+// Random-overwrite lpns drawn ahead of their write; a power of two. Each
+// draw's mapping entry is prefetched at once, its old P2L slot half-way.
+constexpr uint64_t kDrawAhead = 16;
 } // namespace
 
 Ftl::Ftl(const SsdConfig &cfg)
@@ -34,6 +39,8 @@ Ftl::Ftl(const SsdConfig &cfg)
         fatal("Ftl: too few blocks per die; raise capacity or OP");
     if (blocks_per_die_ > 4096 || pages_per_block_ > 4096)
         fatal("Ftl: geometry exceeds 32-bit mapping entry limits");
+    if (num_lpns_ > kUnmapped)
+        fatal("Ftl: logical pages exceed the 32-bit reverse map");
 
     // Spare blocks per die = physical minus the space needed for the
     // logical capacity; GC thresholds must stay below the spare fraction
@@ -54,11 +61,11 @@ Ftl::Ftl(const SsdConfig &cfg)
         std::min(configured, spare_blocks_ * 3 / 5));
 
     mapping_.assign(num_lpns_, kUnmappedEntry);
+    p2l_.assign(size_t{num_dies_} * blocks_per_die_ * pages_per_block_,
+                kUnmapped);
     dies_.resize(num_dies_);
     for (auto &die : dies_) {
         die.blocks.resize(blocks_per_die_);
-        for (auto &blk : die.blocks)
-            blk.lpns.assign(pages_per_block_, kUnmapped);
         die.free_blocks.reserve(blocks_per_die_);
         // Highest indices first so block 0 is the first write point.
         for (uint32_t b = blocks_per_die_; b-- > 0;)
@@ -111,8 +118,9 @@ Ftl::invalidate(uint64_t lpn)
         return;
     PhysLoc loc = unpack(entry);
     Block &blk = dies_[loc.die].blocks[loc.block];
-    if (blk.lpns[loc.page] == lpn) {
-        blk.lpns[loc.page] = kUnmapped;
+    uint32_t &slot = slots(loc.die, loc.block)[loc.page];
+    if (slot == lpn) {
+        slot = kUnmapped;
         if (blk.valid == 0)
             panic("Ftl::invalidate: valid count underflow");
         --blk.valid;
@@ -146,9 +154,8 @@ Ftl::commitHostWrite(uint64_t lpn, uint32_t die)
     PhysLoc loc = allocSlot(die, /*gc=*/false);
     if (loc.block == kNoBlock)
         panic("Ftl::commitHostWrite: caller ignored hostWriteStalled()");
-    Block &blk = dies_[die].blocks[loc.block];
-    blk.lpns[loc.page] = lpn;
-    ++blk.valid;
+    slots(die, loc.block)[loc.page] = static_cast<uint32_t>(lpn);
+    ++dies_[die].blocks[loc.block].valid;
     mapping_[lpn] = pack(die, loc.block, loc.page);
     ++host_pages_written_;
     return loc;
@@ -158,7 +165,8 @@ uint32_t
 Ftl::takeHostWriteDie()
 {
     uint32_t die = write_rr_;
-    write_rr_ = (write_rr_ + 1) % num_dies_;
+    if (++write_rr_ == num_dies_)
+        write_rr_ = 0;
     return die;
 }
 
@@ -225,7 +233,7 @@ Ftl::gcHasMove(uint32_t die)
 }
 
 void
-Ftl::gcCommitMove(uint32_t die)
+Ftl::gcCommitMove(uint32_t die, uint32_t pages)
 {
     Die &d = dies_[die];
     if (d.victim == kNoBlock) {
@@ -235,32 +243,36 @@ Ftl::gcCommitMove(uint32_t die)
         return;
     }
     Block &victim = d.blocks[d.victim];
-    // Find the next still-valid page under the scan cursor.
-    while (d.victim_scan < pages_per_block_ &&
-           victim.lpns[d.victim_scan] == kUnmapped) {
-        ++d.victim_scan;
+    uint32_t *src = slots(die, d.victim);
+    // When the host overwrote the victim's remaining pages while this
+    // move was in flight on the die, the copy is moot (the die time was
+    // still spent — as on real hardware).
+    const uint32_t todo = std::min<uint32_t>(pages, victim.valid);
+    uint32_t moved = 0;
+    uint32_t p = d.victim_scan;
+    for (; moved < todo && p < pages_per_block_; ++p) {
+        // The mapping entry each move rewrites is a cache miss; fetch the
+        // one kMovePrefetch slots ahead so back-to-back moves overlap.
+        if (p + kMovePrefetch < pages_per_block_) {
+            uint32_t ahead = src[p + kMovePrefetch];
+            if (ahead != kUnmapped)
+                __builtin_prefetch(&mapping_[ahead], 1);
+        }
+        uint32_t lpn = src[p];
+        if (lpn == kUnmapped)
+            continue;
+        PhysLoc loc = allocSlot(die, /*gc=*/true);
+        if (loc.block == kNoBlock)
+            panic("Ftl::gcCommitMove: GC reserve exhausted");
+        src[p] = kUnmapped;
+        slots(die, loc.block)[loc.page] = lpn;
+        ++d.blocks[loc.block].valid;
+        mapping_[lpn] = pack(die, loc.block, loc.page);
+        ++moved;
     }
-    if (d.victim_scan >= pages_per_block_ || victim.valid == 0) {
-        // The host overwrote the victim's remaining pages while this
-        // move was in flight on the die: the copy is moot (the die time
-        // was still spent — as on real hardware).
-        return;
-    }
-
-    uint64_t lpn = victim.lpns[d.victim_scan];
-    PhysLoc loc = allocSlot(die, /*gc=*/true);
-    if (loc.block == kNoBlock)
-        panic("Ftl::gcCommitMove: GC reserve exhausted");
-
-    victim.lpns[d.victim_scan] = kUnmapped;
-    --victim.valid;
-    ++d.victim_scan;
-
-    Block &dst = d.blocks[loc.block];
-    dst.lpns[loc.page] = lpn;
-    ++dst.valid;
-    mapping_[lpn] = pack(die, loc.block, loc.page);
-    ++gc_pages_moved_;
+    victim.valid -= moved;
+    gc_pages_moved_ += moved;
+    d.victim_scan = p;
 }
 
 bool
@@ -282,7 +294,8 @@ Ftl::gcCommitErase(uint32_t die)
         return;
     }
     Block &victim = d.blocks[d.victim];
-    std::fill(victim.lpns.begin(), victim.lpns.end(), kUnmapped);
+    uint32_t *victim_slots = slots(die, d.victim);
+    std::fill(victim_slots, victim_slots + pages_per_block_, kUnmapped);
     victim.used = 0;
     victim.valid = 0;
     d.free_blocks.push_back(d.victim);
@@ -320,8 +333,7 @@ Ftl::instantGc(uint32_t die)
         const Block &victim = dies_[die].blocks[dies_[die].victim];
         if (victim.valid >= pages_per_block_)
             break; // zero net gain: moving costs what erasing frees
-        while (dies_[die].blocks[dies_[die].victim].valid > 0)
-            gcCommitMove(die);
+        gcCommitMove(die, victim.valid);
         gcCommitErase(die);
     }
 }
@@ -361,13 +373,14 @@ Ftl::growBadBlock(uint64_t lpn)
     // the block drains to zero valid pages. The block is never selected
     // as a GC victim and never returns to the free list — the die's
     // spare capacity just shrank by one block.
-    std::vector<uint64_t> survivors;
+    const uint32_t *blk_slots = slots(loc.die, loc.block);
+    std::vector<uint32_t> survivors;
     survivors.reserve(blk.valid);
     for (uint32_t p = 0; p < blk.used; ++p) {
-        if (blk.lpns[p] != kUnmapped)
-            survivors.push_back(blk.lpns[p]);
+        if (blk_slots[p] != kUnmapped)
+            survivors.push_back(blk_slots[p]);
     }
-    for (uint64_t survivor : survivors)
+    for (uint32_t survivor : survivors)
         instantWrite(survivor);
     if (blk.valid != 0)
         panic("Ftl::growBadBlock: block not drained by remap");
@@ -398,7 +411,7 @@ Ftl::checkInvariants(std::string *error) const
             return fail(strCat("lpn ", lpn, " maps out of range"));
         }
         const Block &blk = dies_[loc.die].blocks[loc.block];
-        if (blk.lpns[loc.page] != lpn)
+        if (slots(loc.die, loc.block)[loc.page] != lpn)
             return fail(strCat("lpn ", lpn, " slot mismatch"));
         if (loc.page >= blk.used)
             return fail(strCat("lpn ", lpn, " points at unwritten slot"));
@@ -411,11 +424,12 @@ Ftl::checkInvariants(std::string *error) const
         const Die &d = dies_[die];
         for (uint32_t b = 0; b < blocks_per_die_; ++b) {
             const Block &blk = d.blocks[b];
+            const uint32_t *blk_slots = slots(die, b);
             uint32_t live = 0;
             for (uint32_t p = 0; p < blk.used; ++p)
-                live += blk.lpns[p] != kUnmapped;
+                live += blk_slots[p] != kUnmapped;
             for (uint32_t p = blk.used; p < pages_per_block_; ++p) {
-                if (blk.lpns[p] != kUnmapped)
+                if (blk_slots[p] != kUnmapped)
                     return fail(strCat("die ", die, " block ", b,
                                        " live page beyond used"));
             }
@@ -452,15 +466,40 @@ Ftl::preconditionSequentialFill(double fill_fraction)
         fill_fraction * static_cast<double>(num_lpns_));
     for (uint64_t lpn = 0; lpn < pages; ++lpn)
         instantWrite(lpn);
+    filled_lpns_ = std::max(filled_lpns_, pages);
 }
 
 void
 Ftl::preconditionRandomOverwrite(uint64_t count, Rng &rng)
 {
-    if (cfg_.medium != MediumType::kFlash)
+    if (cfg_.medium != MediumType::kFlash || filled_lpns_ == 0)
         return;
-    for (uint64_t i = 0; i < count; ++i)
-        instantWrite(rng.below(num_lpns_));
+    // Draw up to kDrawAhead lpns ahead of the one being written, in draw
+    // order and never past `count`: ring[i % kDrawAhead] holds draw i.
+    uint32_t ring[kDrawAhead];
+    uint64_t drawn = 0;
+    auto draw = [&] {
+        auto lpn = static_cast<uint32_t>(rng.below(filled_lpns_));
+        __builtin_prefetch(&mapping_[lpn], 1);
+        ring[drawn++ % kDrawAhead] = lpn;
+    };
+    while (drawn < std::min(count, kDrawAhead))
+        draw();
+    for (uint64_t i = 0; i < count; ++i) {
+        uint32_t lpn = ring[i % kDrawAhead];
+        if (drawn < count)
+            draw(); // reuses slot i % kDrawAhead
+        if (i + kDrawAhead / 2 < drawn) {
+            // Half-way: the mapping entry is cached by now, so fetch the
+            // P2L slot the write will invalidate.
+            uint32_t entry = mapping_[ring[(i + kDrawAhead / 2) % kDrawAhead]];
+            if (entry != kUnmappedEntry) {
+                PhysLoc old = unpack(entry);
+                __builtin_prefetch(&slots(old.die, old.block)[old.page], 1);
+            }
+        }
+        instantWrite(lpn);
+    }
 }
 
 } // namespace isol::ssd

@@ -9,6 +9,11 @@
  *
  * The FTL is purely bookkeeping — it consumes no simulated time. The
  * SsdDevice drives it and charges die/channel time for each operation.
+ *
+ * Layout: the forward map holds one packed 32-bit (die, block, page)
+ * entry per lpn; the reverse (P2L) map is one flat array of 32-bit lpns,
+ * one per physical page slot, indexed block-major so a block's slots are
+ * contiguous. Per-block metadata is just {used, valid, bad}.
  */
 
 #ifndef ISOL_SSD_FTL_HH
@@ -53,6 +58,14 @@ class Ftl
      */
     PhysLoc lookupRead(uint64_t lpn) const;
 
+    /** True when `lpn` has been written and not invalidated since. */
+    bool
+    mapped(uint64_t lpn) const
+    {
+        return !mapping_.empty() &&
+               mapping_[lpn % num_lpns_] != kUnmappedEntry;
+    }
+
     /**
      * Die that the next host write will go to (global round-robin write
      * pointer). Does not advance the pointer.
@@ -95,8 +108,12 @@ class Ftl
      */
     bool gcHasMove(uint32_t die);
 
-    /** Bookkeep one GC valid-page move on `die` (mapping updated). */
-    void gcCommitMove(uint32_t die);
+    /**
+     * Bookkeep up to `pages` GC valid-page moves on `die` (mapping
+     * updated), in the victim's slot order. Moves fewer when the victim
+     * has fewer valid pages left.
+     */
+    void gcCommitMove(uint32_t die, uint32_t pages = 1);
 
     /** True when the die's victim has no valid pages left (erase it). */
     bool victimReadyForErase(uint32_t die) const;
@@ -115,15 +132,18 @@ class Ftl
 
     /**
      * Instant preconditioning: sequentially write `fill_fraction` of the
-     * logical space (no simulated time).
+     * logical space (no simulated time). The written prefix becomes the
+     * range that preconditionRandomOverwrite() draws from.
      */
     void preconditionSequentialFill(double fill_fraction);
 
     /**
-     * Instant preconditioning: perform `count` random-page overwrites,
-     * running GC instantly whenever allocation would stall. Produces the
-     * steady-state block-validity distribution the paper creates with its
-     * random-overwrite pass.
+     * Instant preconditioning: perform `count` random-page overwrites of
+     * the sequentially filled range, running GC instantly whenever
+     * allocation would stall. Produces the steady-state block-validity
+     * distribution the paper creates with its random-overwrite pass.
+     * Draws exactly `count` values from `rng`, and leaves the same state
+     * as `count` single-page calls would. Does nothing before a fill.
      */
     void preconditionRandomOverwrite(uint64_t count, Rng &rng);
 
@@ -177,11 +197,10 @@ class Ftl
 
   private:
     static constexpr uint32_t kNoBlock = UINT32_MAX;
-    static constexpr uint64_t kUnmapped = UINT64_MAX;
+    static constexpr uint32_t kUnmapped = UINT32_MAX; //!< dead P2L slot
 
     struct Block
     {
-        std::vector<uint64_t> lpns; //!< lpn per slot (kUnmapped when dead)
         uint16_t used = 0; //!< slots written
         uint16_t valid = 0; //!< slots still mapped
         bool bad = false; //!< grown bad block, out of circulation
@@ -200,6 +219,20 @@ class Ftl
     /** Pack/unpack mapping entries (die, block, page) into 32 bits. */
     uint32_t pack(uint32_t die, uint32_t block, uint32_t page) const;
     PhysLoc unpack(uint32_t entry) const;
+
+    /** First P2L slot of `block` on `die` (lpn per page, or kUnmapped). */
+    uint32_t *
+    slots(uint32_t die, uint32_t block)
+    {
+        return p2l_.data() +
+               (size_t{die} * blocks_per_die_ + block) * pages_per_block_;
+    }
+    const uint32_t *
+    slots(uint32_t die, uint32_t block) const
+    {
+        return p2l_.data() +
+               (size_t{die} * blocks_per_die_ + block) * pages_per_block_;
+    }
 
     /** Invalidate the mapping entry of `lpn` if present. */
     void invalidate(uint64_t lpn);
@@ -225,11 +258,13 @@ class Ftl
     uint32_t blocks_per_die_;
     uint32_t pages_per_block_;
     uint64_t num_lpns_;
+    uint64_t filled_lpns_ = 0; //!< prefix written by the sequential fill
     uint32_t spare_blocks_ = 0;
     uint32_t gc_start_free_ = 2;
 
     std::vector<uint32_t> mapping_; //!< lpn -> packed loc (kUnmappedEntry)
     static constexpr uint32_t kUnmappedEntry = UINT32_MAX;
+    std::vector<uint32_t> p2l_; //!< slot -> lpn (kUnmapped), see slots()
     std::vector<Die> dies_;
 
     uint32_t write_rr_ = 0;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -192,6 +194,168 @@ TEST(Ftl, RejectsBadGeometry)
     SsdConfig tiny = tinyFlash();
     tiny.user_capacity = 1 * MiB; // too few blocks per die
     EXPECT_THROW(Ftl{tiny}, FatalError);
+
+    // 2^32 logical pages: the largest geometry the packed mapping allows,
+    // one lpn too many for the 32-bit reverse map.
+    SsdConfig huge = tinyFlash();
+    huge.channels = 16;
+    huge.dies_per_channel = 16;
+    huge.pages_per_block = 4096;
+    huge.overprovision = 0.0;
+    huge.user_capacity = (uint64_t{1} << 32) * huge.page_size;
+    try {
+        Ftl ftl(huge);
+        ADD_FAILURE() << "2^32 logical pages accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("32-bit reverse map"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+// The micro-bench geometry: 256 MiB over 16 dies.
+SsdConfig
+sixteenDieFlash()
+{
+    SsdConfig cfg = samsung980ProLike();
+    cfg.user_capacity = 256 * MiB;
+    cfg.channels = 4;
+    cfg.dies_per_channel = 4;
+    return cfg;
+}
+
+// FNV-1a over the read mapping of every lpn, the GC counters and the
+// per-die free space: equal hashes mean equal observable FTL state.
+uint64_t
+stateHash(const Ftl &ftl, uint64_t num_lpns)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](uint64_t v) {
+        h ^= v;
+        h *= 0x100000001b3ull;
+    };
+    for (uint64_t lpn = 0; lpn < num_lpns; ++lpn) {
+        PhysLoc loc = ftl.lookupRead(lpn);
+        mix((uint64_t{loc.die} << 40) | (uint64_t{loc.block} << 20) |
+            loc.page);
+    }
+    mix(ftl.gcPagesMoved());
+    mix(ftl.blocksErased());
+    for (uint32_t die = 0; die < ftl.numDies(); ++die)
+        mix(static_cast<uint64_t>(ftl.freeFraction(die) * 1e9));
+    return h;
+}
+
+TEST(Ftl, PreconditionStateIsPinned)
+{
+    // Golden values for a fill plus two random-overwrite passes: any
+    // change to the resulting state or to the number of draws fails.
+    SsdConfig cfg = sixteenDieFlash();
+    Ftl ftl(cfg);
+    Rng rng(2024);
+    ftl.preconditionSequentialFill(1.0);
+    ftl.preconditionRandomOverwrite(cfg.numLogicalPages() * 2, rng);
+    EXPECT_EQ(ftl.gcPagesMoved(), 367063u);
+    EXPECT_EQ(ftl.blocksErased(), 1900u);
+    EXPECT_EQ(stateHash(ftl, cfg.numLogicalPages()),
+              14167512026021999929ull);
+    // Exactly 2N draws: the generator stands where the per-page loop
+    // left it.
+    EXPECT_EQ(rng.next(), 8476932936718635849ull);
+    std::string error;
+    EXPECT_TRUE(ftl.checkInvariants(&error)) << error;
+}
+
+TEST(Ftl, LookAheadOverwriteMatchesChunkedCalls)
+{
+    // One long call draws ahead of its writes; chunks of 1, 7, 16 and 17
+    // cut the look-ahead short at every phase. Both must leave the same
+    // state and the generator at the same point (no over-draw).
+    SsdConfig cfg = sixteenDieFlash();
+    const uint64_t n = cfg.numLogicalPages() + 123;
+    Ftl whole(cfg);
+    Rng whole_rng(99);
+    whole.preconditionSequentialFill(1.0);
+    whole.preconditionRandomOverwrite(n, whole_rng);
+
+    Ftl chunked(cfg);
+    Rng chunked_rng(99);
+    chunked.preconditionSequentialFill(1.0);
+    const uint64_t sizes[] = {1, 7, 16, 17};
+    uint64_t done = 0;
+    for (size_t k = 0; done < n; ++k) {
+        uint64_t step = std::min(sizes[k % 4], n - done);
+        chunked.preconditionRandomOverwrite(step, chunked_rng);
+        done += step;
+    }
+    EXPECT_GT(chunked.gcPagesMoved(), 0u);
+    EXPECT_EQ(stateHash(whole, cfg.numLogicalPages()),
+              stateHash(chunked, cfg.numLogicalPages()));
+    EXPECT_EQ(whole_rng.next(), chunked_rng.next());
+}
+
+TEST(Ftl, MultiPageGcMoveMatchesSinglePageMoves)
+{
+    // Instant GC drains a victim with one multi-page gcCommitMove; the
+    // timed GC makes one call per page. Both must make the same moves.
+    SsdConfig cfg = sixteenDieFlash();
+    Ftl bulk(cfg);
+    Ftl single(cfg);
+    Rng bulk_rng(5);
+    Rng single_rng(5);
+    bulk.preconditionSequentialFill(1.0);
+    single.preconditionSequentialFill(1.0);
+    bulk.preconditionRandomOverwrite(cfg.numLogicalPages(), bulk_rng);
+    single.preconditionRandomOverwrite(cfg.numLogicalPages(), single_rng);
+    const uint64_t moved_before = bulk.gcPagesMoved();
+    for (uint32_t die = 0; die < bulk.numDies(); ++die) {
+        ASSERT_TRUE(bulk.gcHasMove(die));
+        ASSERT_TRUE(single.gcHasMove(die));
+        bulk.gcCommitMove(die, 7);
+        for (int k = 0; k < 7; ++k)
+            single.gcCommitMove(die);
+        bulk.gcCommitMove(die, UINT32_MAX);
+        while (single.gcHasMove(die))
+            single.gcCommitMove(die);
+        ASSERT_TRUE(bulk.victimReadyForErase(die));
+        ASSERT_TRUE(single.victimReadyForErase(die));
+        bulk.gcCommitMove(die, 3); // drained victim: a moot move
+        bulk.gcCommitErase(die);
+        single.gcCommitErase(die);
+    }
+    EXPECT_GT(bulk.gcPagesMoved(), moved_before + 7 * bulk.numDies());
+    EXPECT_EQ(bulk.gcPagesMoved(), single.gcPagesMoved());
+    EXPECT_EQ(stateHash(bulk, cfg.numLogicalPages()),
+              stateHash(single, cfg.numLogicalPages()));
+    std::string error;
+    EXPECT_TRUE(bulk.checkInvariants(&error)) << error;
+}
+
+TEST(Ftl, PartialFillOverwritesOnlyTheFilledRange)
+{
+    sim::Simulator sim;
+    SsdConfig cfg = tinyFlash();
+    SsdDevice dev(sim, cfg);
+    dev.precondition(0.5, 1.0);
+    const Ftl &ftl = dev.ftl();
+    const uint64_t filled = cfg.numLogicalPages() / 2;
+    uint64_t mapped_low = 0;
+    for (uint64_t lpn = 0; lpn < filled; ++lpn)
+        mapped_low += ftl.mapped(lpn);
+    EXPECT_EQ(mapped_low, filled);
+    for (uint64_t lpn = filled; lpn < cfg.numLogicalPages(); ++lpn)
+        ASSERT_FALSE(ftl.mapped(lpn)) << "lpn " << lpn;
+    std::string error;
+    EXPECT_TRUE(ftl.checkInvariants(&error)) << error;
+}
+
+TEST(Ftl, DefaultGeometryPreconditionIsConsistent)
+{
+    sim::Simulator sim;
+    SsdDevice dev(sim, samsung980ProLike());
+    dev.precondition(1.0, 2.0);
+    std::string error;
+    EXPECT_TRUE(dev.ftl().checkInvariants(&error)) << error;
 }
 
 // --- Device integration ---------------------------------------------------

@@ -134,6 +134,57 @@ TEST(ZeroAlloc, SteadyStateInteriorIoMaxDoesNotAllocate)
         << " steady-state I/Os (" << counters.bytes << " bytes)";
 }
 
+TEST(ZeroAlloc, PreconditionedRandomWritesDoNotAllocate)
+{
+    if (!common::allocCountingEnabled())
+        GTEST_SKIP() << "built without ISOL_COUNT_ALLOCS";
+
+    // A small preconditioned drive under sustained 4 KiB random writes:
+    // overwrites, host programs, GC moves and erases all update the flat
+    // P2L map in place, which must not touch the heap.
+    ScenarioConfig cfg;
+    cfg.knob = Knob::kNone;
+    cfg.duration = msToNs(1500); // write-bound: ~16 k IOPS
+    cfg.warmup = msToNs(100);
+    cfg.check_invariants = false;
+    cfg.precondition = true;
+    cfg.device.user_capacity = 256 * MiB;
+    cfg.device.channels = 4;
+    cfg.device.dies_per_channel = 4;
+    Scenario scenario(cfg);
+    for (int i = 0; i < 2; ++i) {
+        workload::JobSpec spec =
+            workload::batchApp(strCat("w", i), msToNs(1500));
+        spec.op = OpType::kWrite;
+        spec.read_fraction = 0.0;
+        scenario.addApp(std::move(spec), "cgw");
+    }
+
+    const ssd::Ftl &ftl = scenario.ssd(0).ftl();
+    uint64_t ios_at_mark = 0;
+    uint64_t moved_at_mark = 0;
+    uint64_t erased_at_mark = 0;
+    scenario.sim().at(msToNs(500), [&] {
+        ios_at_mark = totalIos(scenario);
+        moved_at_mark = ftl.gcPagesMoved();
+        erased_at_mark = ftl.blocksErased();
+        common::resetAllocCounters();
+    });
+    scenario.run();
+
+    common::AllocCounters counters = common::allocCounters();
+    uint64_t ios = totalIos(scenario) - ios_at_mark;
+    ASSERT_GT(ios, 10000u) << "scenario too small to be meaningful";
+    ASSERT_GT(ftl.gcPagesMoved(), moved_at_mark) << "GC must move pages";
+    ASSERT_GT(ftl.blocksErased(), erased_at_mark) << "GC must erase";
+
+    double per_io = static_cast<double>(counters.allocs) /
+                    static_cast<double>(ios);
+    EXPECT_LT(per_io, 0.01)
+        << counters.allocs << " allocations over " << ios
+        << " steady-state I/Os (" << counters.bytes << " bytes)";
+}
+
 TEST(ZeroAlloc, CgroupChurnReleasesGateState)
 {
     if (!common::allocCountingEnabled())
