@@ -29,7 +29,7 @@ namespace
 {
 
 void
-runPanel(const char *name, const char *title, bool weighted,
+runPanel(const char *title, bool weighted,
          const std::vector<uint32_t> &group_counts,
          const FairnessOptions &opts)
 {
@@ -46,32 +46,20 @@ runPanel(const char *name, const char *title, bool weighted,
             grid.push_back({cgroups, knob});
     }
 
-    // Each grid point runs as a supervised task returning its table row
-    // as a payload; the manifest checkpoints payloads, so a --resume
-    // after an interrupt reprints the exact same table.
-    std::vector<sweep::Task> tasks;
-    tasks.reserve(grid.size());
-    for (size_t i = 0; i < grid.size(); ++i) {
-        // isol: parallel
-        tasks.push_back([&grid, &opts, weighted, i]() -> std::string {
-            FairnessResult res =
-                runFairness(grid[i].knob, grid[i].cgroups, weighted,
-                            FairnessMix::kUniform, opts);
-            return bench::joinRow(
-                {strCat(res.cgroups), knobName(res.knob),
-                 isol::formatDouble(res.jain_mean, 3),
-                 isol::formatDouble(res.jain_std, 3),
-                 bench::gibs(res.agg_gibs_mean)});
+    // isol: parallel
+    std::vector<FairnessResult> results = sweep::map<FairnessResult>(
+        grid.size(), [&grid, &opts, weighted](size_t i) {
+            return runFairness(grid[i].knob, grid[i].cgroups, weighted,
+                               FairnessMix::kUniform, opts);
         });
-    }
-    std::vector<std::string> payloads = bench::supervisedSweep(name,
-                                                               tasks);
 
     stats::Table table({"cgroups", "knob", "jain", "jain-stddev",
                         "agg GiB/s"});
-    for (const std::string &payload : payloads) {
-        if (!payload.empty())
-            table.addRow(bench::splitRow(payload));
+    for (const FairnessResult &res : results) {
+        table.addRow({strCat(res.cgroups), knobName(res.knob),
+                      isol::formatDouble(res.jain_mean, 3),
+                      isol::formatDouble(res.jain_std, 3),
+                      bench::gibs(res.agg_gibs_mean)});
     }
     std::fputs(table.toAligned().c_str(), stdout);
 }
@@ -100,13 +88,13 @@ main(int argc, char **argv)
     std::vector<uint32_t> scaling = quick
         ? std::vector<uint32_t>{2, 8}
         : std::vector<uint32_t>{2, 4, 8};
-    runPanel("fig5a", "Fig. 5(a): uniform weights, scaling cgroups",
+    runPanel("Fig. 5(a): uniform weights, scaling cgroups",
              false, scaling, opts);
-    runPanel("fig5b", "Fig. 5(b): uniform weights, 16 cgroups (past CPU "
+    runPanel("Fig. 5(b): uniform weights, 16 cgroups (past CPU "
              "saturation)", false, {16}, opts);
-    runPanel("fig5c", "Fig. 5(c): linearly increasing weights, scaling "
+    runPanel("Fig. 5(c): linearly increasing weights, scaling "
              "cgroups", true, scaling, opts);
-    runPanel("fig5d", "Fig. 5(d): linearly increasing weights, 16 "
+    runPanel("Fig. 5(d): linearly increasing weights, 16 "
              "cgroups", true, {16}, opts);
     bench::emitSweepReport();
     return 0;

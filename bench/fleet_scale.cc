@@ -190,32 +190,24 @@ main(int argc, char **argv)
     std::printf("Fleet-scale hierarchical cgroup stress: "
                 "8 pods, heterogeneous tenants, one adversary per pod\n");
 
-    std::vector<sweep::Task> tasks;
-    tasks.reserve(grid.size());
-    for (size_t i = 0; i < grid.size(); ++i) {
-        // isol: parallel
-        tasks.push_back([&grid, duration, warmup, i]() -> std::string {
-            FleetResult res = runFleetPoint(grid[i], duration, warmup);
-            double share =
-                res.events > 0
-                    ? static_cast<double>(res.bookkeeping_ops) /
-                          static_cast<double>(res.events)
-                    : 0.0;
-            return bench::joinRow(
-                {strCat(grid[i].tenants), strCat(grid[i].levels),
-                 knobName(grid[i].knob), bench::gibs(res.agg_gibs),
-                 strCat(res.events), strCat(res.bookkeeping_ops),
-                 formatDouble(share, 3), strCat(res.tracked_groups)});
+    // isol: parallel
+    std::vector<FleetResult> results = sweep::map<FleetResult>(
+        grid.size(), [&grid, duration, warmup](size_t i) {
+            return runFleetPoint(grid[i], duration, warmup);
         });
-    }
-    std::vector<std::string> payloads =
-        bench::supervisedSweep("fleet_scale", tasks);
 
     stats::Table table({"tenants", "levels", "knob", "agg GiB/s",
                         "events", "bookkeeping", "bk/event", "groups"});
-    for (const std::string &payload : payloads) {
-        if (!payload.empty())
-            table.addRow(bench::splitRow(payload));
+    for (size_t i = 0; i < grid.size(); ++i) {
+        const FleetResult &res = results[i];
+        double share = res.events > 0
+                           ? static_cast<double>(res.bookkeeping_ops) /
+                                 static_cast<double>(res.events)
+                           : 0.0;
+        table.addRow({strCat(grid[i].tenants), strCat(grid[i].levels),
+                      knobName(grid[i].knob), bench::gibs(res.agg_gibs),
+                      strCat(res.events), strCat(res.bookkeeping_ops),
+                      formatDouble(share, 3), strCat(res.tracked_groups)});
     }
     std::fputs(table.toAligned().c_str(), stdout);
     bench::emitSweepReport();

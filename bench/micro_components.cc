@@ -795,7 +795,8 @@ main(int argc, char **argv)
 {
     benchmark::Initialize(&argc, argv);
     // Anything google-benchmark did not consume goes through the shared
-    // bench flags (--jobs & supervision), which abort on real typos.
+    // bench flags (--jobs, --adversary, --check-invariants), which
+    // abort on real typos.
     bench::parseArgs(argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

@@ -24,8 +24,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <cstdio>
+#include <set>
+#include <vector>
 
 #include "bench_util.hh"
 #include "common/strings.hh"
@@ -77,25 +78,16 @@ main(int argc, char **argv)
     d4.burst_start = msToNs(1000);
     d4.threshold = 0.9;
 
-    // Baselines from the no-knob configuration. Payloads carry the
-    // doubles as hexfloats so a --resume restores them bit-exactly.
+    // Baselines from the no-knob configuration: P99 latency of one
+    // LC-app and single-SSD batch bandwidth.
     // isol: parallel
-    std::vector<sweep::Task> baseline_tasks = {
-        [&]() -> std::string {
-            return bench::hexDouble(runLcScaling(Knob::kNone, 1, d1)
-                                        .p99_us);
-        },
-        [&]() -> std::string {
-            return bench::hexDouble(
-                runBatchScaling(Knob::kNone, 8, 1, d1).agg_gibs);
-        },
-    };
-    std::vector<std::string> baselines =
-        bench::supervisedSweep("table1-baselines", baseline_tasks);
-    LcScalingResult none_lat;
-    none_lat.p99_us = bench::parseHexDouble(baselines[0]);
-    BatchScalingResult none_bw;
-    none_bw.agg_gibs = bench::parseHexDouble(baselines[1]);
+    const std::vector<double> baselines =
+        sweep::map<double>(2, [&](size_t i) {
+            return i == 0 ? runLcScaling(Knob::kNone, 1, d1).p99_us
+                          : runBatchScaling(Knob::kNone, 8, 1, d1).agg_gibs;
+        });
+    const double none_p99_us = baselines[0];
+    const double none_gibs = baselines[1];
 
     stats::Table table({"cgroups I/O control knob", "Low Overhead",
                         "Proportional Fairness",
@@ -115,21 +107,28 @@ main(int argc, char **argv)
         {Knob::kIoCost, "io.cost + io.weight"},
     };
 
+    /** One row's four verdicts, in column order. */
+    struct Verdicts
+    {
+        const char *overhead = "";
+        const char *fairness = "";
+        const char *tradeoff = "";
+        const char *bursts = "";
+    };
+
     // Each knob's verdicts come from an independent batch of runs, so
-    // the five rows evaluate concurrently as supervised checkpointed
-    // tasks; the table is assembled from the row payloads in row order.
-    std::vector<sweep::Task> row_tasks;
-    row_tasks.reserve(rows.size());
-    for (size_t row_idx = 0; row_idx < rows.size(); ++row_idx) {
-        // isol: parallel
-        row_tasks.push_back([&, row_idx]() -> std::string {
+    // the five rows evaluate concurrently; the table is assembled from
+    // the collected verdicts in row order.
+    // isol: parallel
+    std::vector<Verdicts> verdicts =
+        sweep::map<Verdicts>(rows.size(), [&](size_t row_idx) {
         Knob knob = rows[row_idx].knob;
 
         // D1: low overhead.
         auto lat = runLcScaling(knob, 1, d1);
         auto bw = runBatchScaling(knob, 8, 1, d1);
-        bool lat_ok = lat.p99_us <= none_lat.p99_us * 1.10;
-        bool bw_ok = bw.agg_gibs >= none_bw.agg_gibs * 0.85;
+        bool lat_ok = lat.p99_us <= none_p99_us * 1.10;
+        bool bw_ok = bw.agg_gibs >= none_gibs * 0.85;
         // Past CPU saturation io.cost pays latency (O1): partial.
         bool sat_ok = true;
         if (knob == Knob::kIoCost) {
@@ -218,16 +217,13 @@ main(int argc, char **argv)
             bursts = verdict(burst_ok);
         }
 
-        return bench::joinRow({rows[row_idx].label, overhead, fairness,
-                               tradeoff, bursts});
-        });
-    }
-    std::vector<std::string> row_payloads =
-        bench::supervisedSweep("table1-rows", row_tasks);
+        return Verdicts{overhead, fairness, tradeoff, bursts};
+    });
 
-    for (const std::string &payload : row_payloads) {
-        if (!payload.empty())
-            table.addRow(bench::splitRow(payload));
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const Verdicts &v = verdicts[i];
+        table.addRow({rows[i].label, v.overhead, v.fairness, v.tradeoff,
+                      v.bursts});
     }
 
     std::fputs(table.toAligned().c_str(), stdout);

@@ -107,13 +107,12 @@ runFairness(Knob knob, uint32_t cgroups, bool weighted, FairnessMix mix,
     // Every repeat owns its whole simulated system and differs only in
     // seed, so the multi-seed std-dev loop fans out across the sweep
     // pool; the summaries are folded in repeat order afterwards to keep
-    // the floating-point results identical to a sequential run. The
-    // supervised map adds watchdog/budget guards per repeat (partial
-    // repeat statistics would silently skew the std-devs, so a failed
-    // repeat fails the whole point).
+    // the floating-point results identical to a sequential run. A
+    // failed repeat fails the whole point: partial repeat statistics
+    // would silently skew the std-devs.
     // isol: parallel
-    std::vector<RepeatResult> reps = sweep::guardedMap<RepeatResult>(
-        strCat(point_name, "-repeats"), opts.repeats, [&](size_t rep) {
+    std::vector<RepeatResult> reps = sweep::map<RepeatResult>(
+        opts.repeats, [&](size_t rep) {
         ScenarioConfig cfg;
         cfg.name = point_name;
         cfg.knob = knob;

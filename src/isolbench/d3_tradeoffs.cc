@@ -200,13 +200,9 @@ runTradeoffSweep(Knob knob, PriorityAppKind kind, BeWorkload be,
     }
 
     // Each configuration is an independent simulation; fan the grid out
-    // across the sweep pool, results landing in config order. The
-    // supervised map adds watchdog/budget guards per configuration.
+    // across the sweep pool, results landing in config order.
     // isol: parallel
-    return sweep::guardedMap<TradeoffPoint>(
-        strCat("d3-", knobName(knob), "-", priorityAppKindName(kind),
-               "-", beWorkloadName(be)),
-        settings.size(), [&](size_t idx) {
+    return sweep::map<TradeoffPoint>(settings.size(), [&](size_t idx) {
         const KnobSetting &setting = settings[idx];
         ScenarioConfig cfg;
         cfg.name = strCat("d3-", knobName(knob), "-",

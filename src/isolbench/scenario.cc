@@ -286,33 +286,6 @@ Scenario::group(const std::string &name)
     return *node;
 }
 
-std::string
-Scenario::blameDetail() const
-{
-    std::string out = strCat(" [scenario '", cfg_.name, "'");
-    // Blame the busiest tenant: the one holding the most in-flight I/O
-    // when the guard tripped is almost always the storm's source.
-    const AppSlot *busiest = nullptr;
-    for (const auto &slot : apps_) {
-        if (busiest == nullptr ||
-            slot->job->inflight() > busiest->job->inflight())
-            busiest = slot.get();
-    }
-    if (busiest != nullptr) {
-        out += strCat(", busiest tenant '", busiest->job->spec().name,
-                      "' in cgroup '", busiest->cg->name(),
-                      "', inflight ", busiest->job->inflight());
-        if (busiest->job->spec().adversary !=
-            workload::AdversaryKind::kNone) {
-            out += strCat(", adversary ",
-                          workload::adversaryName(
-                              busiest->job->spec().adversary));
-        }
-    }
-    out += "]";
-    return out;
-}
-
 uint32_t
 Scenario::adversaryTenants() const
 {
@@ -338,29 +311,7 @@ Scenario::run()
         busy_at_warmup_ = cpus_->totalBusyNs();
     });
     double wall_start_ms = sweep::monotonicMs();
-    if (sweep::guardActive()) {
-        // Same event order as runUntil(); the chunk boundaries only
-        // decide when the guard gets to look at the wall clock and the
-        // event budget, so supervised runs stay byte-identical.
-        constexpr uint64_t kGuardChunkEvents = 8192;
-        try {
-            for (;;) {
-                uint64_t executed =
-                    sim_.runChunk(cfg_.duration, kGuardChunkEvents);
-                sweep::chargeGuardEvents(executed);
-                sweep::pollGuardDeadline();
-                if (executed < kGuardChunkEvents)
-                    break;
-            }
-        } catch (const sweep::TaskAbort &abort) {
-            // Budget/watchdog trips name the offending tenant so the
-            // supervised failure table is actionable without a replay.
-            throw sweep::TaskAbort(
-                abort.kind(), strCat(abort.what(), blameDetail()));
-        }
-    } else {
-        sim_.runUntil(cfg_.duration);
-    }
+    sim_.runUntil(cfg_.duration);
     double wall_ms = sweep::monotonicMs() - wall_start_ms;
 
     if (inv_) {
@@ -390,7 +341,7 @@ Scenario::run()
     sweep::recordProfile(std::move(profile));
 
     // A run that finishes with inconsistent counters must not flow into
-    // a figure; the supervisor classifies this as invariant_violation.
+    // a figure: the violation propagates and fails the whole sweep.
     validate::enforce(validate::checkScenario(*this), cfg_.name);
 }
 

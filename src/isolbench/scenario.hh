@@ -214,9 +214,6 @@ class Scenario
      *  interior level on the way down. */
     cgroup::Cgroup *ensureGroupPath(const std::string &path);
 
-    /** " [scenario ..., busiest tenant ...]" blame for guard aborts. */
-    std::string blameDetail() const;
-
     ScenarioConfig cfg_;
     sim::Simulator sim_;
     std::unique_ptr<sim::InvariantChecker> inv_;

@@ -27,9 +27,9 @@
  * Checking is strictly opt-in (ScenarioConfig::check_invariants or the
  * `ISOL_CHECK_INVARIANTS` env var / `--check-invariants` flag): hooks
  * are a single null-pointer test when disabled, so the default build
- * pays nothing. A violation throws InvariantViolation immediately; the
- * sweep supervisor classifies it as `invariant_violation`, so supervised
- * campaigns report tripped scenarios instead of crashing.
+ * pays nothing. A violation throws InvariantViolation immediately; it
+ * propagates out of the sweep and fails the bench with the violation
+ * on stderr.
  *
  * The checker lives in sim/ and is deliberately blind to the block
  * layer's types: call sites identify groups, series, and requests by

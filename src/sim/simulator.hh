@@ -18,40 +18,6 @@ namespace isol::sim
 {
 
 /**
- * Thrown instead of fatal() when an execution budget (the runAll event
- * storm guard) trips on a thread where budgets are recoverable — i.e.
- * the run executes under the sweep supervisor, which converts it into a
- * structured resource_exhausted task error instead of tearing down the
- * whole sweep. Unsupervised runs keep the hard fatal() path.
- */
-class BudgetExceeded : public std::runtime_error
-{
-  public:
-    explicit BudgetExceeded(const std::string &msg)
-        : std::runtime_error(msg)
-    {
-    }
-};
-
-// isol-lint: allow(D4): per-thread error-path policy flag set by the
-// sweep supervisor's task guard; never read by simulation decisions
-inline thread_local bool t_recoverable_budgets = false;
-
-/** True when budget overruns should throw BudgetExceeded (supervised). */
-inline bool
-recoverableBudgets()
-{
-    return t_recoverable_budgets;
-}
-
-/** Mark this thread's budget overruns recoverable (task guard scope). */
-inline void
-setRecoverableBudgets(bool on)
-{
-    t_recoverable_budgets = on;
-}
-
-/**
  * Deterministic single-threaded discrete-event simulator.
  *
  * Components hold a Simulator reference and schedule callbacks either at
@@ -115,32 +81,10 @@ class Simulator
     }
 
     /**
-     * Run up to `max_steps` events with time <= `deadline`. Returns the
-     * number of events executed; when fewer than `max_steps` ran, the
-     * queue is drained up to the deadline and now() == deadline, exactly
-     * as after runUntil(). Lets a caller interleave watchdog/budget
-     * polls with event execution without perturbing the simulation.
-     */
-    uint64_t
-    runChunk(SimTime deadline, uint64_t max_steps)
-    {
-        uint64_t executed = 0;
-        while (executed < max_steps && !queue_.empty() &&
-               queue_.nextTime() <= deadline) {
-            step();
-            ++executed;
-        }
-        if (executed < max_steps && deadline > now_)
-            now_ = deadline;
-        return executed;
-    }
-
-    /**
      * Run until the event queue is empty. A non-zero `max_events` caps
      * how many events this call may execute: self-rescheduling event
-     * storms (e.g. a mis-wired periodic timer) then fail loudly instead
-     * of hanging the process — via a recoverable BudgetExceeded under a
-     * supervised sweep task, via fatal() otherwise.
+     * storms (e.g. a mis-wired periodic timer) then fail loudly through
+     * fatal() instead of hanging the process.
      */
     void
     runAll(uint64_t max_events = 0)
@@ -148,13 +92,9 @@ class Simulator
         uint64_t executed = 0;
         while (!queue_.empty()) {
             if (max_events != 0 && executed >= max_events) {
-                std::string msg =
-                    strCat("Simulator::runAll: executed ", executed,
-                           " events without draining the queue — "
-                           "event storm? (limit ", max_events, ")");
-                if (recoverableBudgets())
-                    throw BudgetExceeded(msg);
-                fatal(msg);
+                fatal(strCat("Simulator::runAll: executed ", executed,
+                             " events without draining the queue — "
+                             "event storm? (limit ", max_events, ")"));
             }
             step();
             ++executed;

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "isolbench/d1_overhead.hh"
 #include "isolbench/d2_fairness.hh"
 #include "isolbench/d3_tradeoffs.hh"
 #include "isolbench/d4_bursts.hh"
 #include "isolbench/scenario.hh"
+#include "isolbench/validate.hh"
 #include "stats/fairness.hh"
 
 namespace isol::isolbench
@@ -96,6 +100,38 @@ TEST(Scenario, CostModelPresets)
 }
 
 // --- O1/O2 shapes (D1) ---
+
+TEST(Validate, DoctoredResultsFailValidation)
+{
+    std::vector<validate::Issue> issues;
+    // completed > submitted.
+    validate::checkConservation(issues, "nvme0", 100, 150, 0, 64);
+    // non-monotone percentiles.
+    validate::checkPercentiles(issues, "app", 500, 400, 900);
+    // negative throughput.
+    validate::checkThroughput(issues, "agg", -1.0);
+    // utilisation above 1.
+    validate::checkRatio(issues, "cpu", 1.5);
+    ASSERT_EQ(issues.size(), 4u);
+
+    try {
+        validate::enforce(issues, "doctored");
+        FAIL() << "expected InvariantViolation";
+    } catch (const validate::InvariantViolation &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("doctored"), std::string::npos);
+        EXPECT_NE(what.find("io-conservation"), std::string::npos);
+        EXPECT_NE(what.find("latency-percentiles"), std::string::npos);
+    }
+
+    std::vector<validate::Issue> clean;
+    validate::checkConservation(clean, "nvme0", 100, 90, 5, 64);
+    validate::checkPercentiles(clean, "app", 100, 200, 300);
+    validate::checkThroughput(clean, "agg", 2.5);
+    validate::checkRatio(clean, "cpu", 0.8);
+    EXPECT_TRUE(clean.empty());
+    validate::enforce(clean, "clean"); // must not throw
+}
 
 TEST(D1, SchedulersRaiseSingleAppTailLatency)
 {

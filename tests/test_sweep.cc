@@ -67,6 +67,31 @@ TEST(SweepEngine, AllTasksRunDespiteThrow)
                   std::string::npos);
     }
     EXPECT_EQ(ran.load(), 8);
+
+    // The typed fan-out every bench uses fails the same way: two
+    // throwing indices give one SweepError in index order, and every
+    // other index still ran.
+    std::vector<std::atomic<int>> ran_at(8);
+    try {
+        sweep::map<int>(
+            8,
+            [&ran_at](size_t i) {
+                ++ran_at[i];
+                if (i == 6 || i == 1)
+                    fatal(strCat("index ", i, " failed"));
+                return static_cast<int>(i);
+            },
+            4);
+        FAIL() << "expected SweepError";
+    } catch (const sweep::SweepError &e) {
+        ASSERT_EQ(e.failures().size(), 2u);
+        EXPECT_EQ(e.failures()[0].task, 1u);
+        EXPECT_EQ(e.failures()[0].message, "index 1 failed");
+        EXPECT_EQ(e.failures()[1].task, 6u);
+        EXPECT_EQ(e.failures()[1].message, "index 6 failed");
+    }
+    for (size_t i = 0; i < ran_at.size(); ++i)
+        EXPECT_EQ(ran_at[i].load(), 1) << "index " << i;
 }
 
 TEST(SweepEngine, SingleFailureRethrownVerbatim)
@@ -86,6 +111,25 @@ TEST(SweepEngine, SingleFailureRethrownVerbatim)
     } catch (const FatalError &e) {
         EXPECT_STREQ(e.what(), "task 2 failed");
     }
+
+    // Same through sweep::map, and the other indices still ran.
+    std::vector<std::atomic<int>> ran_at(4);
+    try {
+        sweep::map<int>(
+            4,
+            [&ran_at](size_t i) {
+                ++ran_at[i];
+                if (i == 2)
+                    fatal("index 2 failed");
+                return 0;
+            },
+            4);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "index 2 failed");
+    }
+    for (size_t i = 0; i < ran_at.size(); ++i)
+        EXPECT_EQ(ran_at[i].load(), 1) << "index " << i;
 }
 
 TEST(SweepEngine, NestedSweepStillCorrect)

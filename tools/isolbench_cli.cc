@@ -22,8 +22,6 @@
  *                         fault-injection profile (default off)
  *   --jobs <n>            sweep worker threads for parallel runners
  *                         (default: hardware concurrency)
- *   --task-timeout-ms <n> wall-clock watchdog for the run
- *   --task-max-events <n> simulated-event budget for the run
  *   --adversary <queue-flood|gc-storm|square-wave|flush-storm|slow-drain>
  *                         add a misbehaving tenant in cgroup "adv"
  *   --check-invariants    enable the runtime invariant checker
@@ -101,7 +99,6 @@ printUsage()
         "  --duration MS | --warmup MS | --precondition | --seed N\n"
         "  --faults off|media|thermal|all\n"
         "  --jobs N   (sweep worker threads; default hw concurrency)\n"
-        "  --task-timeout-ms N | --task-max-events N\n"
         "  --adversary queue-flood|gc-storm|square-wave|flush-storm|\n"
         "              slow-drain    (misbehaving tenant in cgroup 'adv')\n"
         "  --check-invariants        (runtime invariant checker)\n"
@@ -245,7 +242,6 @@ main(int argc, char **argv)
     std::vector<KnobWrite> writes;
     bool csv = false;
     workload::AdversaryKind adversary = workload::AdversaryKind::kNone;
-    sweep::Options sup = sweep::options();
 
     auto next_value = [&](int &i, const char *opt) -> std::string {
         if (i + 1 >= argc)
@@ -308,16 +304,6 @@ main(int argc, char **argv)
             if (!parsed || *parsed == 0)
                 usageError("bad --jobs");
             sweep::setDefaultJobs(static_cast<uint32_t>(*parsed));
-        } else if (arg == "--task-timeout-ms") {
-            auto parsed = parseUint(next_value(i, "--task-timeout-ms"));
-            if (!parsed)
-                usageError("bad --task-timeout-ms");
-            sup.task_timeout_ms = static_cast<double>(*parsed);
-        } else if (arg == "--task-max-events") {
-            auto parsed = parseUint(next_value(i, "--task-max-events"));
-            if (!parsed)
-                usageError("bad --task-max-events");
-            sup.max_task_events = *parsed;
         } else if (arg == "--adversary") {
             auto parsed =
                 workload::parseAdversary(next_value(i, "--adversary"));
@@ -351,51 +337,32 @@ main(int argc, char **argv)
             uint32_t index;
             std::string name;
         };
-        std::optional<Scenario> scenario_slot;
+        Scenario scenario(cfg);
         std::vector<Placed> placed;
-        auto buildAndRun = [&] {
-            scenario_slot.emplace(cfg);
-            Scenario &scenario = *scenario_slot;
-            placed.clear();
-            uint32_t device_rr = 0;
-            for (const AppArg &app : apps) {
-                for (uint32_t c = 0; c < app.count; ++c) {
-                    workload::JobSpec spec = app.spec;
-                    if (app.count > 1)
-                        spec.name = strCat(spec.name, c);
-                    if (spec.duration == 0 ||
-                        spec.start_time + spec.duration > cfg.duration) {
-                        spec.duration = cfg.duration - spec.start_time;
-                    }
-                    std::string name = spec.name;
-                    uint32_t idx = scenario.addApp(
-                        std::move(spec), app.cgroup,
-                        device_rr++ % cfg.num_devices);
-                    placed.push_back(Placed{idx, name});
+        uint32_t device_rr = 0;
+        for (const AppArg &app : apps) {
+            for (uint32_t c = 0; c < app.count; ++c) {
+                workload::JobSpec spec = app.spec;
+                if (app.count > 1)
+                    spec.name = strCat(spec.name, c);
+                if (spec.duration == 0 ||
+                    spec.start_time + spec.duration > cfg.duration) {
+                    spec.duration = cfg.duration - spec.start_time;
                 }
+                std::string name = spec.name;
+                uint32_t idx = scenario.addApp(
+                    std::move(spec), app.cgroup,
+                    device_rr++ % cfg.num_devices);
+                placed.push_back(Placed{idx, name});
             }
-            if (adversary != workload::AdversaryKind::kNone)
-                scenario.addAdversary(adversary, "adv");
-            for (const KnobWrite &write : writes) {
-                scenario.tree().writeFile(scenario.group(write.cgroup),
-                                          write.file, write.value);
-            }
-            scenario.run();
-        };
-
-        if (sup.task_timeout_ms > 0.0 || sup.max_task_events > 0) {
-            // Supervised run: watchdog/event-budget guards, so a wedged
-            // or invalid configuration fails with a classified error
-            // instead of hanging the terminal.
-            sweep::setOptions(sup);
-            sweep::guardedMap<int>("cli", 1, [&](size_t) {
-                buildAndRun();
-                return 0;
-            });
-        } else {
-            buildAndRun();
         }
-        Scenario &scenario = *scenario_slot;
+        if (adversary != workload::AdversaryKind::kNone)
+            scenario.addAdversary(adversary, "adv");
+        for (const KnobWrite &write : writes) {
+            scenario.tree().writeFile(scenario.group(write.cgroup),
+                                      write.file, write.value);
+        }
+        scenario.run();
 
         stats::Table table({"app", "cgroup", "MiB/s", "IOPS",
                             "P50 us", "P99 us", "P99.9 us"});
@@ -442,8 +409,8 @@ main(int argc, char **argv)
         std::fprintf(stderr, "isolbench: %s\n", e.what());
         return 1;
     } catch (const std::exception &e) {
-        // SweepError (supervised run failed), invariant
-        // violations from result validation, watchdog/budget aborts.
+        // Invariant violations from result validation or the runtime
+        // checker.
         std::fprintf(stderr, "isolbench: %s\n", e.what());
         return 1;
     }
