@@ -14,115 +14,72 @@ BlockDevice::BlockDevice(sim::Simulator &sim, cgroup::CgroupTree &tree,
     switch (cfg_.elevator) {
       case ElevatorType::kNone:
         elevator_ = std::make_unique<NoneElevator>();
-        dispatch_cost_ = 0;
         break;
       case ElevatorType::kMqDeadline:
         elevator_ = std::make_unique<MqDeadline>(sim_, cfg_.mq_params);
         dispatch_cost_ = cfg_.mq_lock_hold;
+        cpu_extra_ = cfg_.mq_cpu;
         break;
       case ElevatorType::kBfq:
         elevator_ = std::make_unique<Bfq>(sim_, tree_, cfg_.bfq_params);
         dispatch_cost_ = cfg_.bfq_lock_hold;
+        cpu_extra_ = cfg_.bfq_cpu;
         break;
       case ElevatorType::kKyber:
+        // Per-cpu token pools, no dispatch lock.
         elevator_ = std::make_unique<Kyber>(sim_, cfg_.kyber_params);
-        dispatch_cost_ = 0; // per-cpu token pools, no dispatch lock
+        cpu_extra_ = cfg_.kyber_cpu;
         break;
     }
     elevator_->setKick([this] { pumpDispatch(); });
     if (dispatch_cost_ > 0)
         dispatch_lock_ = std::make_unique<ssd::FifoServer>(sim_);
 
-    if (cfg_.enable_io_latency) {
-        cfg_.iolat_params.max_nr_requests =
-            cfg_.iolatency_max_nr_requests;
-        io_latency_ = std::make_unique<IoLatencyGate>(
-            sim_, cfg_.dev_id, tree_,
-            [this](Request *req) { enterTags(req); }, cfg_.iolat_params);
-        io_latency_->setInvariants(inv_);
+    auto enter_tags = [this](Request *req) { enterTags(req); };
+    switch (cfg_.qos) {
+      case QosType::kNone:
+        return;
+      case QosType::kIoMax: {
+        auto gate = std::make_unique<IoMaxGate>(sim_, cfg_.dev_id, tree_,
+                                                enter_tags);
+        gate->setDebugCorruptBucket(cfg_.debug_corrupt_iomax_bucket);
+        qos_ = std::move(gate);
+        cpu_extra_ += cfg_.iomax_cpu;
+        break;
+      }
+      case QosType::kIoLatency:
+        qos_ = std::make_unique<IoLatencyGate>(
+            sim_, cfg_.dev_id, tree_, enter_tags, cfg_.iolat_params);
+        cpu_extra_ += cfg_.iolat_cpu;
+        break;
+      case QosType::kIoCost:
+        qos_ = std::make_unique<IoCostGate>(
+            sim_, cfg_.dev_id, tree_, enter_tags, cfg_.iocost_params);
+        cpu_extra_ += cfg_.iocost_cpu;
+        break;
     }
-    if (cfg_.enable_io_cost) {
-        io_cost_ = std::make_unique<IoCostGate>(
-            sim_, cfg_.dev_id, tree_,
-            [this](Request *req) { afterIoCost(req); },
-            cfg_.iocost_params);
-        io_cost_->setInvariants(inv_);
-    }
-    if (cfg_.enable_io_max) {
-        io_max_ = std::make_unique<IoMaxGate>(
-            sim_, cfg_.dev_id, tree_,
-            [this](Request *req) { afterIoMax(req); });
-        io_max_->setInvariants(inv_);
-        io_max_->setDebugCorruptBucket(cfg_.debug_corrupt_iomax_bucket);
-    }
+    qos_->setInvariants(inv_);
 }
 
 uint64_t
 BlockDevice::gateBookkeepingOps() const
 {
-    uint64_t ops = elevator_->bookkeepingOps();
-    if (io_max_)
-        ops += io_max_->bookkeepingOps();
-    if (io_latency_)
-        ops += io_latency_->bookkeepingOps();
-    if (io_cost_)
-        ops += io_cost_->bookkeepingOps();
-    return ops;
+    return elevator_->bookkeepingOps() +
+           (qos_ ? qos_->bookkeepingOps() : 0);
 }
 
 void
 BlockDevice::finalInvariantChecks()
 {
-    if (inv_ == nullptr)
-        return;
-    if (io_max_) {
-        io_max_->verifyHierarchicalConsumption();
-        io_max_->verifyWaiters();
-    }
-    if (io_cost_)
-        io_cost_->checkHierarchicalCharges();
+    if (inv_ != nullptr && qos_)
+        qos_->finalChecks();
 }
 
 void
 BlockDevice::start()
 {
-    if (io_latency_)
-        io_latency_->start();
-    if (io_cost_)
-        io_cost_->start();
-}
-
-void
-BlockDevice::setTimerCpuCharge(IoCostGate::CpuChargeFn fn)
-{
-    if (io_cost_)
-        io_cost_->setCpuCharge(std::move(fn));
-}
-
-SimTime
-BlockDevice::perIoCpuExtra() const
-{
-    SimTime extra = 0;
-    switch (cfg_.elevator) {
-      case ElevatorType::kNone:
-        break;
-      case ElevatorType::kMqDeadline:
-        extra += cfg_.mq_cpu;
-        break;
-      case ElevatorType::kBfq:
-        extra += cfg_.bfq_cpu;
-        break;
-      case ElevatorType::kKyber:
-        extra += cfg_.kyber_cpu;
-        break;
-    }
-    if (cfg_.enable_io_max)
-        extra += cfg_.iomax_cpu;
-    if (cfg_.enable_io_latency)
-        extra += cfg_.iolat_cpu;
-    if (cfg_.enable_io_cost)
-        extra += cfg_.iocost_cpu;
-    return extra;
+    if (qos_)
+        qos_->start();
 }
 
 SimTime
@@ -171,31 +128,10 @@ BlockDevice::submit(Request *req)
 void
 BlockDevice::afterLock(Request *req)
 {
-    if (io_max_) {
-        io_max_->submit(req);
-        return;
-    }
-    afterIoMax(req);
-}
-
-void
-BlockDevice::afterIoMax(Request *req)
-{
-    if (io_cost_) {
-        io_cost_->submit(req);
-        return;
-    }
-    afterIoCost(req);
-}
-
-void
-BlockDevice::afterIoCost(Request *req)
-{
-    if (io_latency_) {
-        io_latency_->submit(req);
-        return;
-    }
-    enterTags(req);
+    if (qos_)
+        qos_->submit(req);
+    else
+        enterTags(req);
 }
 
 void
@@ -308,8 +244,8 @@ BlockDevice::onCommandTimeout(Request *req, uint64_t attempt)
     }
 
     // Requeue with capped exponential backoff. The aborted attempt's
-    // device time is spent: bill it to the issuing group so io.cost sees
-    // the retried work.
+    // device time is spent: the gate's requeue hook lets io.cost bill it
+    // to the issuing group.
     ++req->retries;
     uint32_t shift = std::min<uint32_t>(req->retries - 1, 30);
     SimTime backoff =
@@ -318,8 +254,8 @@ BlockDevice::onCommandTimeout(Request *req, uint64_t attempt)
     ++fault_stats_.requeues;
     if (req->cg != nullptr)
         ++req->cg->mutableIoFaultStat().requeues;
-    if (io_cost_)
-        io_cost_->chargeRetry(req);
+    if (qos_)
+        qos_->onRequeue(req);
     sim_.after(backoff, [this, req] { issueToDevice(req); });
 }
 
@@ -333,10 +269,8 @@ BlockDevice::finishRequest(Request *req)
         else
             inv_->onComplete(req->cg);
     }
-    if (io_cost_)
-        io_cost_->onDeviceComplete(req);
-    if (io_latency_)
-        io_latency_->onComplete(req);
+    if (qos_)
+        qos_->onComplete(req);
     elevator_->onComplete(req);
 
     // Release the tag; admit a waiter if any.

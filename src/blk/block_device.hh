@@ -3,14 +3,16 @@
  * BlockDevice: the per-device block-layer pipeline tying the cgroup I/O
  * control knobs to the SSD model.
  *
- *   submit -> [io.max] -> [io.cost] -> [io.latency] -> tags(nr_requests)
- *          -> elevator (none / mq-deadline / bfq) -> dispatch lock -> SSD
+ *   submit -> [insert lock] -> [rq-qos gate] -> tags(nr_requests)
+ *          -> elevator -> [dispatch lock] -> SSD
  *
- * Each knob is optional; the paper evaluates them one at a time. The
- * elevator dispatch path of MQ-DL and BFQ passes through a serialized
- * per-device critical section (the single dispatch lock), which is what
- * caps their NVMe bandwidth in the paper's Fig. 4 (≈1.8 / ≈0.7 GiB/s on
- * one SSD).
+ * The device runs one elevator (none / mq-deadline / bfq / kyber) and
+ * at most one rq-qos gate (io.max / io.latency / io.cost, see
+ * blk/rq_qos.hh), the way the paper evaluates the knobs: one at a time.
+ * The scheduler lock exists only for MQ-DL and BFQ: every request takes
+ * it on insert and again on dispatch, a serialized per-device critical
+ * section that caps their NVMe bandwidth in the paper's Fig. 4 (≈1.8 /
+ * ≈0.7 GiB/s on one SSD).
  */
 
 #ifndef ISOL_BLK_BLOCK_DEVICE_HH
@@ -26,6 +28,7 @@
 #include "blk/qos_latency.hh"
 #include "blk/qos_max.hh"
 #include "blk/request.hh"
+#include "blk/rq_qos.hh"
 #include "common/ring.hh"
 #include "fault/fault.hh"
 #include "sim/invariants.hh"
@@ -37,25 +40,23 @@ namespace isol::blk
 {
 
 /**
- * Configuration of one block device's I/O control stack.
+ * Configuration of one block device's I/O control stack: one elevator,
+ * at most one rq-qos gate, and the CPU/lock costs each of them adds.
  */
 struct BlockDeviceConfig
 {
     cgroup::DeviceId dev_id = 0;
     ElevatorType elevator = ElevatorType::kNone;
-    bool enable_io_max = false;
-    bool enable_io_latency = false;
-    bool enable_io_cost = false;
+    QosType qos = QosType::kNone;
     /**
      * Scheduler tags available on the device. NVMe exposes one hardware
      * queue per CPU (each with its own tag space), so the effective tag
      * pool is large and rarely binds — if it did, its FIFO wait queue
      * would override the elevator's policy. io.latency's queue-depth
-     * mechanism uses the classic per-device nr_requests (1024)
-     * independently.
+     * mechanism uses the classic per-device nr_requests
+     * (iolat_params.max_nr_requests, 1024) independently.
      */
     uint32_t nr_requests = 16384;
-    uint32_t iolatency_max_nr_requests = 1024;
 
     MqDeadlineParams mq_params;
     BfqParams bfq_params;
@@ -112,12 +113,6 @@ class BlockDevice
     void start();
 
     /**
-     * Route the io.cost period-timer work through a CPU core so its
-     * cost becomes visible past CPU saturation (paper O1).
-     */
-    void setTimerCpuCharge(IoCostGate::CpuChargeFn fn);
-
-    /**
      * Enter a request into the pipeline. The caller has already paid the
      * submission CPU cost (engine cost + perIoCpuExtra()).
      */
@@ -127,7 +122,7 @@ class BlockDevice
      * Extra submit-side CPU one I/O costs under the enabled knobs
      * (elevator insert/lock work + qos accounting).
      */
-    SimTime perIoCpuExtra() const;
+    SimTime perIoCpuExtra() const { return cpu_extra_; }
 
     /**
      * CPU time the submitting thread will burn spinning on the scheduler
@@ -160,30 +155,33 @@ class BlockDevice
     /** Command-timeout / retry counters (all zero when disabled). */
     const fault::HostFaultStats &faultStats() const { return fault_stats_; }
     size_t tagWaiting() const { return tag_wait_.size(); }
-    IoMaxGate *ioMaxGate() { return io_max_.get(); }
-    IoLatencyGate *ioLatencyGate() { return io_latency_.get(); }
-    IoCostGate *ioCostGate() { return io_cost_.get(); }
+    /** The rq-qos gate as its concrete type, nullptr if another runs. */
+    IoMaxGate *ioMaxGate() { return dynamic_cast<IoMaxGate *>(qos_.get()); }
+    IoLatencyGate *
+    ioLatencyGate()
+    {
+        return dynamic_cast<IoLatencyGate *>(qos_.get());
+    }
+    IoCostGate *ioCostGate() { return dynamic_cast<IoCostGate *>(qos_.get()); }
     Elevator &elevator() { return *elevator_; }
 
     /**
-     * Per-cgroup bookkeeping work across every enabled gate and the
-     * elevator: share recomputes, donation passes, chain charge walks,
-     * window scans, queue-selection scans. Deterministic (pure event
-     * counts), so benches report it alongside throughput to show where
-     * gate state handling becomes the hot path at high tenant counts.
+     * Per-cgroup bookkeeping work of the gate and the elevator: share
+     * recomputes, donation passes, chain charge walks, window scans,
+     * queue-selection scans. Deterministic (pure event counts), so
+     * benches report it alongside throughput to show where gate state
+     * handling becomes the hot path at high tenant counts.
      */
     uint64_t gateBookkeepingOps() const;
 
     /**
-     * End-of-run hierarchical conservation checks (no-op when invariant
-     * checking is off or the relevant gate is disabled).
+     * End-of-run hierarchical conservation checks of the gate (no-op
+     * when invariant checking is off or no gate runs).
      */
     void finalInvariantChecks();
 
   private:
     void afterLock(Request *req);
-    void afterIoMax(Request *req);
-    void afterIoCost(Request *req);
     void enterTags(Request *req);
     void enterElevator(Request *req);
     void pumpDispatch();
@@ -198,12 +196,11 @@ class BlockDevice
     BlockDeviceConfig cfg_;
 
     std::unique_ptr<Elevator> elevator_;
-    std::unique_ptr<IoMaxGate> io_max_;
-    std::unique_ptr<IoLatencyGate> io_latency_;
-    std::unique_ptr<IoCostGate> io_cost_;
+    std::unique_ptr<RqQos> qos_;
     std::unique_ptr<ssd::FifoServer> dispatch_lock_;
 
     SimTime dispatch_cost_ = 0;
+    SimTime cpu_extra_ = 0; //!< perIoCpuExtra(), fixed at construction
     common::RingDeque<Request *> tag_wait_;
     uint32_t inflight_ = 0; //!< holding a tag (elevator + device)
     uint32_t dispatch_pending_ = 0;

@@ -12,20 +12,12 @@ namespace isol::blk
 IoCostGate::IoCostGate(sim::Simulator &sim, cgroup::DeviceId dev,
                        cgroup::CgroupTree &tree, PassFn pass,
                        IoCostParams params)
-    : sim_(sim), dev_(dev), tree_(tree), pass_(std::move(pass)),
-      params_(params)
+    : RqQos(sim, dev, tree, std::move(pass)), params_(params)
 {
     cgroup::IoCostQos qos = tree_.costQos(dev_);
     vrate_ = qos.vrate_max / 100.0;
     timer_ = std::make_unique<sim::PeriodicTimer>(
         sim_, params_.period, [this] { periodTick(); });
-    removal_token_ = tree_.addRemovalListener(
-        [this](cgroup::Cgroup &cg) { onCgroupRemoved(cg); });
-}
-
-IoCostGate::~IoCostGate()
-{
-    tree_.removeRemovalListener(removal_token_);
 }
 
 void
@@ -282,7 +274,7 @@ IoCostGate::tryCharge(CgState &st, OpType op, bool sequential,
 }
 
 void
-IoCostGate::chargeRetry(Request *req)
+IoCostGate::onRequeue(Request *req)
 {
     if (req->cg == nullptr)
         return;
@@ -354,7 +346,7 @@ IoCostGate::drain(CgState &st)
 }
 
 void
-IoCostGate::onDeviceComplete(Request *req)
+IoCostGate::onComplete(Request *req)
 {
     SimTime lat = sim_.now() - req->dispatch_time;
     if (req->op == OpType::kRead)

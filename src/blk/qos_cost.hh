@@ -38,15 +38,9 @@
 #include <vector>
 
 #include "blk/cg_state.hh"
-#include "blk/request.hh"
+#include "blk/rq_qos.hh"
 #include "common/ring.hh"
-#include "sim/simulator.hh"
 #include "stats/histogram.hh"
-
-namespace isol::sim
-{
-class InvariantChecker;
-} // namespace isol::sim
 
 namespace isol::blk
 {
@@ -69,10 +63,9 @@ struct IoCostParams
 /**
  * Per-device io.cost controller.
  */
-class IoCostGate
+class IoCostGate : public RqQos
 {
   public:
-    using PassFn = sim::SmallFunction<void(Request *)>;
     /** Charges CPU time and calls the continuation when it retires. */
     using CpuChargeFn =
         sim::SmallFunction<void(SimTime, sim::SmallCallback)>;
@@ -80,19 +73,18 @@ class IoCostGate
     IoCostGate(sim::Simulator &sim, cgroup::DeviceId dev,
                cgroup::CgroupTree &tree, PassFn pass,
                IoCostParams params = {});
-    ~IoCostGate();
 
     /** Optional: route the period-timer work through a CPU core. */
     void setCpuCharge(CpuChargeFn fn) { cpu_charge_ = std::move(fn); }
 
     /** Arm the period timer. */
-    void start();
+    void start() override;
 
     /** Admit or queue a request against the group's vtime budget. */
-    void submit(Request *req);
+    void submit(Request *req) override;
 
-    /** Device-side completion hook (dispatch -> complete latency). */
-    void onDeviceComplete(Request *req);
+    /** Records the dispatch -> complete device latency for qos. */
+    void onComplete(Request *req) override;
 
     /**
      * Charge the issuing group for one retried attempt of `req`: the
@@ -101,7 +93,10 @@ class IoCostGate
      * visible to the knob (the group may run into vtime debt and be
      * throttled on its next submission).
      */
-    void chargeRetry(Request *req);
+    void onRequeue(Request *req) override;
+
+    /** A final checkHierarchicalCharges() sweep. */
+    void finalChecks() override { checkHierarchicalCharges(); }
 
     /** Current vrate in [qos.min, qos.max] / 100. */
     double vrate() const { return vrate_; }
@@ -119,9 +114,6 @@ class IoCostGate
      */
     SimTime absCost(OpType op, bool sequential, uint32_t size) const;
 
-    /** Requests currently held back. */
-    size_t throttled() const { return throttled_; }
-
     /** Hierarchical weight share of `cg` among active groups (testing). */
     double shareOf(const cgroup::Cgroup *cg);
 
@@ -130,16 +122,6 @@ class IoCostGate
 
     /** Total abs cost charged to `cg`'s subtree so far (testing). */
     double subtreeAbsOf(const cgroup::Cgroup *cg) const;
-
-    /**
-     * Bookkeeping work performed: state visits in share recomputes,
-     * donation passes, period scans, and hierarchical charge walks.
-     * Deterministic (event-driven), so benches may print it.
-     */
-    uint64_t bookkeepingOps() const { return bookkeeping_ops_; }
-
-    /** Opt-in runtime invariant checking (nullptr = off). */
-    void setInvariants(sim::InvariantChecker *inv) { inv_ = inv; }
 
     /** Hierarchical conservation: children never outspend the parent.
      *  Runs every period when checking is on; also callable at end of
@@ -180,8 +162,7 @@ class IoCostGate
      *  root, so charge walks can assume the whole chain is present. */
     void ensureChainStates(const cgroup::Cgroup *cg);
 
-    /** Drop state when a cgroup is removed (tree removal listener). */
-    void onCgroupRemoved(cgroup::Cgroup &cg);
+    void onCgroupRemoved(cgroup::Cgroup &cg) override;
 
     /** Advance the device virtual clock to the present. */
     void updateVnow();
@@ -212,10 +193,6 @@ class IoCostGate
     void periodTick();
     void periodWork();
 
-    sim::Simulator &sim_;
-    cgroup::DeviceId dev_;
-    cgroup::CgroupTree &tree_;
-    PassFn pass_;
     IoCostParams params_;
     CpuChargeFn cpu_charge_;
 
@@ -227,12 +204,10 @@ class IoCostGate
     CgStateArena<CgState> states_;
     std::unique_ptr<sim::PeriodicTimer> timer_;
 
-    sim::InvariantChecker *inv_ = nullptr;
     double vrate_ = 1.0;
     double vnow_ = 0.0; //!< device virtual clock (ns)
     SimTime vnow_updated_ = 0;
     size_t active_count_ = 0;
-    size_t throttled_ = 0;
 
     /** Share cache validity: recompute lazily when the active set flips
      *  (dirty flag) or any cgroup knob/topology changed (tree version),
@@ -240,8 +215,6 @@ class IoCostGate
      *  recompute instead of one per submit. */
     bool shares_dirty_ = true;
     uint64_t shares_tree_version_ = 0;
-    uint64_t bookkeeping_ops_ = 0;
-    size_t removal_token_ = 0;
 
     /** Scratch for recomputeShares(), indexed by dense CgroupId; kept
      *  as members so steady-state recomputes do not allocate. */

@@ -23,18 +23,10 @@ groupLabel(const cgroup::Cgroup *cg)
 IoLatencyGate::IoLatencyGate(sim::Simulator &sim, cgroup::DeviceId dev,
                              cgroup::CgroupTree &tree, PassFn pass,
                              IoLatencyParams params)
-    : sim_(sim), dev_(dev), tree_(tree), pass_(std::move(pass)),
-      params_(params)
+    : RqQos(sim, dev, tree, std::move(pass)), params_(params)
 {
     timer_ = std::make_unique<sim::PeriodicTimer>(
         sim_, params_.window, [this] { windowTick(); });
-    removal_token_ = tree_.addRemovalListener(
-        [this](cgroup::Cgroup &cg) { onCgroupRemoved(cg); });
-}
-
-IoLatencyGate::~IoLatencyGate()
-{
-    tree_.removeRemovalListener(removal_token_);
 }
 
 void
@@ -69,15 +61,17 @@ IoLatencyGate::onCgroupRemoved(cgroup::Cgroup &cg)
 }
 
 uint32_t
-IoLatencyGate::qdLimit(const cgroup::Cgroup *cg)
+IoLatencyGate::qdLimit(const cgroup::Cgroup *cg) const
 {
-    return stateFor(cg).qd_limit;
+    const CgState *st = states_.find(cg);
+    return st == nullptr ? params_.max_nr_requests : st->qd_limit;
 }
 
 uint32_t
-IoLatencyGate::useDelay(const cgroup::Cgroup *cg)
+IoLatencyGate::useDelay(const cgroup::Cgroup *cg) const
 {
-    return stateFor(cg).use_delay;
+    const CgState *st = states_.find(cg);
+    return st == nullptr ? 0 : st->use_delay;
 }
 
 void

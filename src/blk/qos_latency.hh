@@ -27,15 +27,9 @@
 #include <vector>
 
 #include "blk/cg_state.hh"
-#include "blk/request.hh"
+#include "blk/rq_qos.hh"
 #include "common/ring.hh"
-#include "sim/simulator.hh"
 #include "stats/histogram.hh"
-
-namespace isol::sim
-{
-class InvariantChecker;
-} // namespace isol::sim
 
 namespace isol::blk
 {
@@ -51,42 +45,31 @@ struct IoLatencyParams
 /**
  * Per-device io.latency controller.
  */
-class IoLatencyGate
+class IoLatencyGate : public RqQos
 {
   public:
-    using PassFn = sim::SmallFunction<void(Request *)>;
-
     IoLatencyGate(sim::Simulator &sim, cgroup::DeviceId dev,
                   cgroup::CgroupTree &tree, PassFn pass,
                   IoLatencyParams params = {});
-    ~IoLatencyGate();
 
     /** Admit or queue a request against the cgroup's QD limit. */
-    void submit(Request *req);
+    void submit(Request *req) override;
 
     /** Completion hook: records latency and frees a QD slot. */
-    void onComplete(Request *req);
+    void onComplete(Request *req) override;
 
-    /** Effective queue-depth limit of `cg` (max_nr_requests if unset). */
-    uint32_t qdLimit(const cgroup::Cgroup *cg);
+    /** Arm the periodic window timer. */
+    void start() override;
 
-    /** use_delay counter of `cg` (white-box testing). */
-    uint32_t useDelay(const cgroup::Cgroup *cg);
+    /** Effective queue-depth limit of `cg` (max_nr_requests for a
+     *  group the gate has not seen; never creates state). */
+    uint32_t qdLimit(const cgroup::Cgroup *cg) const;
 
-    /** Requests currently held back. */
-    size_t throttled() const { return throttled_; }
+    /** use_delay counter of `cg` (0 for an unseen group; testing). */
+    uint32_t useDelay(const cgroup::Cgroup *cg) const;
 
     /** Groups with live gate state (shrinks on cgroup removal). */
     size_t trackedGroups() const { return states_.size(); }
-
-    /** Bookkeeping work: state visits in window scans. */
-    uint64_t bookkeepingOps() const { return bookkeeping_ops_; }
-
-    /** Must be called once to arm the periodic window timer. */
-    void start();
-
-    /** Opt-in runtime invariant checking (nullptr = off). */
-    void setInvariants(sim::InvariantChecker *inv) { inv_ = inv; }
 
   private:
     struct CgState
@@ -101,18 +84,13 @@ class IoLatencyGate
 
     CgState &stateFor(const cgroup::Cgroup *cg);
 
-    /** Drop state when a cgroup is removed (tree removal listener). */
-    void onCgroupRemoved(cgroup::Cgroup &cg);
+    void onCgroupRemoved(cgroup::Cgroup &cg) override;
 
     /** Window processing: check targets, throttle/unthrottle. */
     void windowTick();
 
     void drain(CgState &st);
 
-    sim::Simulator &sim_;
-    cgroup::DeviceId dev_;
-    cgroup::CgroupTree &tree_;
-    PassFn pass_;
     IoLatencyParams params_;
     /** Group states in a flat dense-id arena, iterated in registration
      *  order (swap-remove perturbs it deterministically); windowTick()
@@ -120,10 +98,6 @@ class IoLatencyGate
      *  pointer hash values — slots are assigned by event order alone. */
     CgStateArena<CgState> states_;
     std::unique_ptr<sim::PeriodicTimer> timer_;
-    size_t throttled_ = 0;
-    sim::InvariantChecker *inv_ = nullptr;
-    size_t removal_token_ = 0;
-    uint64_t bookkeeping_ops_ = 0;
 };
 
 } // namespace isol::blk

@@ -9,19 +9,6 @@
 namespace isol::blk
 {
 
-IoMaxGate::IoMaxGate(sim::Simulator &sim, cgroup::DeviceId dev,
-                     cgroup::CgroupTree &tree, PassFn pass)
-    : sim_(sim), dev_(dev), tree_(tree), pass_(std::move(pass))
-{
-    removal_token_ = tree_.addRemovalListener(
-        [this](cgroup::Cgroup &cg) { onCgroupRemoved(cg); });
-}
-
-IoMaxGate::~IoMaxGate()
-{
-    tree_.removeRemovalListener(removal_token_);
-}
-
 void
 IoMaxGate::ensureChainStates(const cgroup::Cgroup *cg)
 {

@@ -36,14 +36,8 @@
 #define ISOL_BLK_QOS_MAX_HH
 
 #include "blk/cg_state.hh"
-#include "blk/request.hh"
+#include "blk/rq_qos.hh"
 #include "common/ring.hh"
-#include "sim/simulator.hh"
-
-namespace isol::sim
-{
-class InvariantChecker;
-} // namespace isol::sim
 
 namespace isol::blk
 {
@@ -51,36 +45,27 @@ namespace isol::blk
 /**
  * Per-device io.max gate.
  */
-class IoMaxGate
+class IoMaxGate : public RqQos
 {
   public:
-    /** Passes a request deeper into the pipeline. */
-    using PassFn = sim::SmallFunction<void(Request *)>;
-
-    /**
-     * @param sim simulator
-     * @param dev device id used to look up io.max limits in the cgroup
-     * @param tree cgroup hierarchy (ancestor walks, removal listener)
-     * @param pass downstream continuation
-     */
-    IoMaxGate(sim::Simulator &sim, cgroup::DeviceId dev,
-              cgroup::CgroupTree &tree, PassFn pass);
-    ~IoMaxGate();
+    using RqQos::RqQos;
 
     /** Admit or queue a request. */
-    void submit(Request *req);
+    void submit(Request *req) override;
 
-    /** Requests currently held back. */
-    size_t throttled() const { return throttled_; }
+    /** verifyHierarchicalConsumption(), then verifyWaiters(). */
+    void
+    finalChecks() override
+    {
+        verifyHierarchicalConsumption();
+        verifyWaiters();
+    }
 
     /** Groups with live gate state (shrinks on cgroup removal). */
     size_t trackedGroups() const { return states_.size(); }
 
     /** Bytes consumed against `cg`'s buckets, subtree-wide (testing). */
     uint64_t consumedBytesOf(const cgroup::Cgroup *cg) const;
-
-    /** Bookkeeping work: chain-walk steps in admission/consume. */
-    uint64_t bookkeepingOps() const { return bookkeeping_ops_; }
 
     /** Cgroups parked in a waiter FIFO, their own or an ancestor's
      *  (testing). */
@@ -97,9 +82,6 @@ class IoMaxGate
      * sum of queue lengths. O(groups); no-op when checking is off.
      */
     void verifyWaiters();
-
-    /** Opt-in runtime invariant checking (nullptr = off). */
-    void setInvariants(sim::InvariantChecker *inv) { inv_ = inv; }
 
     /**
      * End-of-run hierarchical conservation: for every interior node,
@@ -187,8 +169,7 @@ class IoMaxGate
     /** Materialize state for `cg` and every ancestor below the root. */
     void ensureChainStates(const cgroup::Cgroup *cg);
 
-    /** Drop state when a cgroup is removed (tree removal listener). */
-    void onCgroupRemoved(cgroup::Cgroup &cg);
+    void onCgroupRemoved(cgroup::Cgroup &cg) override;
 
     /** Refresh the cached limits when the tree changed. */
     const cgroup::IoMaxLimits &limitsOf(CgState &st);
@@ -231,16 +212,8 @@ class IoMaxGate
     /** Credit horizon (kernel throtl_slice for SSDs is ~20 ms). */
     static constexpr SimTime kSlice = msToNs(20);
 
-    sim::Simulator &sim_;
-    cgroup::DeviceId dev_;
-    cgroup::CgroupTree &tree_;
-    PassFn pass_;
     CgStateArena<CgState> states_;
-    size_t throttled_ = 0;
     size_t parked_ = 0;
-    sim::InvariantChecker *inv_ = nullptr;
-    size_t removal_token_ = 0;
-    uint64_t bookkeeping_ops_ = 0;
     std::vector<uint64_t> id_scratch_;
     bool debug_corrupt_bucket_ = false;
     uint64_t debug_consumes_ = 0;

@@ -130,13 +130,13 @@ Scenario::buildDevices()
             bcfg.elevator = blk::ElevatorType::kBfq;
             break;
           case Knob::kIoMax:
-            bcfg.enable_io_max = true;
+            bcfg.qos = blk::QosType::kIoMax;
             break;
           case Knob::kIoLatency:
-            bcfg.enable_io_latency = true;
+            bcfg.qos = blk::QosType::kIoLatency;
             break;
           case Knob::kIoCost:
-            bcfg.enable_io_cost = true;
+            bcfg.qos = blk::QosType::kIoCost;
             break;
           case Knob::kKyber:
             bcfg.elevator = blk::ElevatorType::kKyber;
@@ -156,7 +156,7 @@ Scenario::buildDevices()
             // The iocost period timer is kernel work on CPU 0.
             if (cfg_.iocost_timer_on_cpu) {
                 host::CpuCore &core = cpus_->core(0);
-                bdev->setTimerCpuCharge(
+                bdev->ioCostGate()->setCpuCharge(
                     [&core](SimTime work, sim::SmallCallback done) {
                         core.charge(host::kKernelTask, work,
                                     std::move(done));

@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "blk/block_device.hh"
@@ -87,9 +88,9 @@ TEST_F(BdevFixture, KnobCpuExtraPerConfig)
     BlockDeviceConfig bfq;
     bfq.elevator = ElevatorType::kBfq;
     BlockDeviceConfig iomax;
-    iomax.enable_io_max = true;
+    iomax.qos = QosType::kIoMax;
     BlockDeviceConfig iocost;
-    iocost.enable_io_cost = true;
+    iocost.qos = QosType::kIoCost;
     EXPECT_GT(makeBdev(bfq)->perIoCpuExtra(),
               makeBdev(mq)->perIoCpuExtra());
     EXPECT_GT(makeBdev(mq)->perIoCpuExtra(),
@@ -162,7 +163,7 @@ TEST_F(BdevFixture, IoMaxPipelineThrottles)
 {
     tree.writeFile(*cg, "io.max", "259:0 rbps=4194304"); // 4 MiB/s
     BlockDeviceConfig cfg;
-    cfg.enable_io_max = true;
+    cfg.qos = QosType::kIoMax;
     auto bdev = makeBdev(cfg);
 
     uint64_t bytes = 0;
@@ -197,7 +198,7 @@ TEST_F(BdevFixture, IoCostPipelineThrottlesToModel)
     tree.setCostQos(0, qos);
 
     BlockDeviceConfig cfg;
-    cfg.enable_io_cost = true;
+    cfg.qos = QosType::kIoCost;
     auto bdev = makeBdev(cfg);
 
     int done = 0;
@@ -222,7 +223,7 @@ TEST_F(BdevFixture, IoLatencyPipelineCompletes)
 {
     tree.writeFile(*cg, "io.latency", "259:0 target=3000000");
     BlockDeviceConfig cfg;
-    cfg.enable_io_latency = true;
+    cfg.qos = QosType::kIoLatency;
     auto bdev = makeBdev(cfg);
     int done = 0;
     for (int i = 0; i < 100; ++i)
@@ -231,6 +232,59 @@ TEST_F(BdevFixture, IoLatencyPipelineCompletes)
     sim.runUntil(msToNs(100));
     EXPECT_EQ(done, 100);
 }
+
+/** Removing a cgroup while a gate holds its I/O is fatal, per gate. */
+struct QosRemovalTest : public BdevFixture,
+                        public ::testing::WithParamInterface<QosType>
+{
+};
+
+TEST_P(QosRemovalTest, RemovingGroupWithQueuedIoIsFatal)
+{
+    cgroup::Cgroup &victim = tree.createChild(tree.root(), "victim");
+    BlockDeviceConfig cfg;
+    cfg.qos = GetParam();
+    switch (cfg.qos) {
+      case QosType::kIoMax:
+        tree.writeFile(victim, "io.max", "259:0 riops=1");
+        break;
+      case QosType::kIoLatency:
+        cfg.iolat_params.max_nr_requests = 1;
+        break;
+      case QosType::kIoCost: {
+        cgroup::IoCostModel model; // 100 ms per 4 KiB read > margin
+        model.user = true;
+        model.rbps = 100ull * GiB;
+        model.rrandiops = 10;
+        model.rseqiops = 10;
+        tree.setCostModel(0, model);
+        break;
+      }
+      case QosType::kNone:
+        FAIL() << "no gate";
+    }
+    auto bdev = makeBdev(cfg);
+    for (uint64_t i = 0; i < 2; ++i) {
+        Request *req = makeReq([] {}, OpType::kRead, 4096, i * 4096);
+        req->cg = &victim;
+        bdev->submit(req);
+    }
+    ASSERT_LT(bdev->inflight(), 2u); // the gate holds a request back
+    EXPECT_THROW(tree.removeGroup(victim), FatalError);
+}
+
+std::string
+qosParamName(const ::testing::TestParamInfo<QosType> &info)
+{
+    const char *const names[] = {"none", "io_max", "io_latency", "io_cost"};
+    return names[static_cast<size_t>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryGate, QosRemovalTest,
+                         ::testing::Values(QosType::kIoMax,
+                                           QosType::kIoLatency,
+                                           QosType::kIoCost),
+                         qosParamName);
 
 TEST_F(BdevFixture, ZeroSizeRejected)
 {

@@ -172,7 +172,7 @@ TEST_F(QosFixture, IoLatencyHalvesVictimQdOncePerWindow)
     tree.writeFile(*cg_a, "io.latency", "259:0 target=100");
     IoLatencyGate gate(sim, 0, tree, [](Request *) {});
     gate.start();
-    gate.qdLimit(cg_b); // register the victim group with the gate
+    gate.submit(makeReq(cg_b)); // register the victim group with the gate
 
     // cg_a completes with 1 ms latency (target 100 us): violated.
     // cg_b (no target) is the victim.
@@ -193,7 +193,7 @@ TEST_F(QosFixture, IoLatencyFullThrottleTakesTenWindows)
     tree.writeFile(*cg_a, "io.latency", "259:0 target=100");
     IoLatencyGate gate(sim, 0, tree, [](Request *) {});
     gate.start();
-    gate.qdLimit(cg_b); // register the victim group with the gate
+    gate.submit(makeReq(cg_b)); // register the victim group with the gate
 
     std::function<void()> violate = [&] {
         for (int i = 0; i < 20; ++i) {
@@ -218,7 +218,7 @@ TEST_F(QosFixture, IoLatencyUnthrottlesInQuarterSteps)
     tree.writeFile(*cg_a, "io.latency", "259:0 target=100");
     IoLatencyGate gate(sim, 0, tree, [](Request *) {});
     gate.start();
-    gate.qdLimit(cg_b); // register the victim group with the gate
+    gate.submit(makeReq(cg_b)); // register the victim group with the gate
     // One violated window throttles cg_b to 512.
     for (int i = 0; i < 20; ++i) {
         Request *req = makeReq(cg_a);
@@ -242,7 +242,7 @@ TEST_F(QosFixture, IoLatencyUseDelayBlocksRecovery)
     params.max_nr_requests = 4; // tiny so QD 1 is reached quickly
     IoLatencyGate gate(sim, 0, tree, [](Request *) {}, params);
     gate.start();
-    gate.qdLimit(cg_b); // register the victim group with the gate
+    gate.submit(makeReq(cg_b)); // register the victim group with the gate
 
     std::function<void()> violate = [&] {
         for (int i = 0; i < 20; ++i) {
@@ -285,6 +285,52 @@ TEST_F(QosFixture, IoLatencyQdGateQueues)
     EXPECT_EQ(gate.throttled(), 1u);
     gate.onComplete(r1);
     EXPECT_EQ(passed, 3);
+}
+
+TEST_F(QosFixture, IoLatencyReadsDoNotCreateState)
+{
+    IoLatencyGate gate(sim, 0, tree, [](Request *) {});
+    gate.start();
+    gate.submit(makeReq(cg_a));
+    // cg_b was never seen: the reads return the unset defaults...
+    EXPECT_EQ(gate.qdLimit(cg_b), 1024u);
+    EXPECT_EQ(gate.useDelay(cg_b), 0u);
+    // ...and leave the gate tracking cg_a alone, so the window tick's
+    // two scans visit one state each.
+    EXPECT_EQ(gate.trackedGroups(), 1u);
+    sim.runUntil(msToNs(501));
+    EXPECT_EQ(gate.trackedGroups(), 1u);
+    EXPECT_EQ(gate.bookkeepingOps(), 2u);
+}
+
+TEST_F(QosFixture, IoLatencyTargetRewriteJudgesWholeWindow)
+{
+    tree.writeFile(*cg_a, "io.latency", "259:0 target=2000000"); // 2 ms
+    IoLatencyGate gate(sim, 0, tree, [](Request *) {});
+    gate.start();
+    gate.submit(makeReq(cg_b)); // register the victim group with the gate
+
+    // cg_a completes at 1 ms in each window: within the 2 ms target.
+    auto complete_at_1ms = [&] {
+        for (int i = 0; i < 20; ++i) {
+            Request *req = makeReq(cg_a);
+            gate.submit(req);
+            req->blk_enter_time = sim.now() - msToNs(1);
+            gate.onComplete(req);
+        }
+    };
+    sim.at(msToNs(100), complete_at_1ms);
+    sim.at(msToNs(600), complete_at_1ms);
+    sim.runUntil(msToNs(501));
+    ASSERT_EQ(gate.qdLimit(cg_b), 1024u);
+
+    // Tighten the target after the second window's samples: the tick
+    // judges all of them against the new 100 us target.
+    sim.runUntil(msToNs(800));
+    tree.writeFile(*cg_a, "io.latency", "259:0 target=100");
+    EXPECT_EQ(gate.qdLimit(cg_b), 1024u);
+    sim.runUntil(msToNs(1001));
+    EXPECT_EQ(gate.qdLimit(cg_b), 512u);
 }
 
 // --- io.cost ---
@@ -355,6 +401,27 @@ TEST_F(QosFixture, IoCostSharesFollowWeights)
     EXPECT_NEAR(gate.shareOf(cg_b), 0.25, 1e-9);
 }
 
+TEST_F(QosFixture, IoCostWeightRewriteAppliesAtNextAdmission)
+{
+    tree.writeFile(*cg_a, "io.weight", "100");
+    tree.writeFile(*cg_b, "io.weight", "100");
+    IoCostGate gate(sim, 0, tree, [](Request *) {});
+    gate.start();
+    gate.submit(makeReq(cg_a));
+    gate.submit(makeReq(cg_b));
+    ASSERT_NEAR(gate.shareOf(cg_a), 0.5, 1e-9);
+
+    // Mid-period (the first tick is at 5 ms): the rewrite bumps the
+    // tree version, and the next admission recomputes the shares.
+    sim.runUntil(msToNs(1));
+    tree.writeFile(*cg_a, "io.weight", "300");
+    gate.submit(makeReq(cg_a));
+    uint64_t ops = gate.bookkeepingOps();
+    EXPECT_NEAR(gate.shareOf(cg_a), 0.75, 1e-9);
+    EXPECT_NEAR(gate.shareOf(cg_b), 0.25, 1e-9);
+    EXPECT_EQ(gate.bookkeepingOps(), ops); // shareOf() recomputed nothing
+}
+
 TEST_F(QosFixture, IoCostWeightDonationOnIdle)
 {
     tree.writeFile(*cg_a, "io.weight", "100");
@@ -421,7 +488,7 @@ TEST_F(QosFixture, IoCostVrateDropsUnderLatencyViolation)
         for (int i = 0; i < 10; ++i) {
             Request *req = makeReq(cg_a);
             req->dispatch_time = sim.now() - msToNs(1);
-            gate.onDeviceComplete(req);
+            gate.onComplete(req);
         }
     };
     for (int i = 1; i <= 100; ++i)
@@ -444,7 +511,7 @@ TEST_F(QosFixture, IoCostVrateRecovers)
     std::function<void()> slow = [&] {
         Request *req = makeReq(cg_a);
         req->dispatch_time = sim.now() - msToNs(1);
-        gate.onDeviceComplete(req);
+        gate.onComplete(req);
     };
     for (int i = 1; i <= 50; ++i)
         sim.at(msToNs(i), slow);

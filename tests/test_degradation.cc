@@ -141,6 +141,41 @@ TEST(NvmeTimeout, FailsAfterMaxRetries)
     EXPECT_EQ(cg.ioFaultStat().timeouts, 3u);
 }
 
+TEST(NvmeTimeout, IoCostChargesEveryRequeue)
+{
+    sim::Simulator sim;
+    cgroup::CgroupTree tree;
+    ssd::SsdDevice ssd(sim, oneDieFlash(), 3);
+
+    BlockDeviceConfig bcfg;
+    bcfg.qos = QosType::kIoCost;
+    bcfg.nvme_timeout.enabled = true;
+    // Shorter than a single tR: every attempt times out.
+    bcfg.nvme_timeout.command_timeout = usToNs(20);
+    bcfg.nvme_timeout.max_retries = 2;
+    bcfg.nvme_timeout.backoff_base = usToNs(50);
+    bcfg.nvme_timeout.backoff_cap = usToNs(200);
+    BlockDevice bdev(sim, tree, ssd, bcfg);
+
+    cgroup::Cgroup &cg = tree.createChild(tree.root(), "doomed");
+    Request req;
+    req.op = OpType::kRead;
+    req.offset = 0;
+    req.size = 4096;
+    req.cg = &cg;
+    bool failed = false;
+    req.on_complete = [&](Request *r) { failed = r->failed; };
+    bdev.submit(&req);
+    sim.runAll();
+
+    ASSERT_TRUE(failed);
+    ASSERT_EQ(bdev.faultStats().requeues, 2u);
+    // One admission charge plus one charge per requeue.
+    IoCostGate *gate = bdev.ioCostGate();
+    EXPECT_DOUBLE_EQ(gate->subtreeAbsOf(&cg),
+                     3.0 * static_cast<double>(gate->absCost(req)));
+}
+
 TEST(NvmeTimeout, DisabledAddsNoCounters)
 {
     sim::Simulator sim;
