@@ -293,6 +293,30 @@ enum class Horizon
 constexpr const char *kHorizonNames[] = {"uniform", "clustered",
                                          "bimodal"};
 
+/** Pop the earliest event from a frozen baseline queue and run it. */
+template <typename Queue>
+SimTime
+popAndFire(Queue &q)
+{
+    auto [now, cb] = q.pop();
+    cb();
+    return now;
+}
+
+/**
+ * The wheel pops through the single-settle call Simulator runs, so the
+ * queue numbers time the shipped dispatch path.
+ */
+SimTime
+popAndFire(sim::EventQueue &q)
+{
+    SimTime now = 0;
+    sim::EventQueue::Callback cb;
+    q.popIfAtOrBefore(kSimTimeMax, now, cb);
+    cb();
+    return now;
+}
+
 /**
  * Steady-state schedule/pop/cancel mix under a chosen horizon
  * distribution: every iteration pops and reschedules, every eighth
@@ -328,8 +352,7 @@ horizonWorkload(Horizon kind, uint64_t iterations, uint64_t depth)
         ++ops;
     }
     for (uint64_t i = 0; i < iterations; ++i) {
-        auto [now, cb] = q.pop();
-        cb();
+        SimTime now = popAndFire(q);
         ++ops;
         q.schedule(next(now), [&fired] { ++fired; });
         ++ops;
@@ -347,7 +370,7 @@ horizonWorkload(Horizon kind, uint64_t iterations, uint64_t depth)
         }
     }
     while (!q.empty()) {
-        q.pop().second();
+        popAndFire(q);
         ++ops;
     }
     return ops;
@@ -377,8 +400,7 @@ mixedQueueWorkload(uint64_t iterations, uint64_t *fired_out = nullptr)
         ++ops;
     }
     for (uint64_t i = 0; i < iterations; ++i) {
-        auto [now, cb] = q.pop();
-        cb();
+        SimTime now = popAndFire(q);
         ++ops;
         q.schedule(now + 1 + static_cast<SimTime>(rng.below(1000)),
                    [&fired] { ++fired; });
@@ -400,7 +422,7 @@ mixedQueueWorkload(uint64_t iterations, uint64_t *fired_out = nullptr)
         }
     }
     while (!q.empty()) {
-        q.pop().second();
+        popAndFire(q);
         ++ops;
     }
     if (fired_out != nullptr)

@@ -6,21 +6,26 @@
  * equal times, by insertion order so simulations are fully deterministic.
  *
  * Layout: a hierarchical timing wheel (6 levels x 64 slots, 1 ns tick,
- * ~68.7 s span) over a slot arena that owns the callbacks, with a 4-ary
- * heap as an overflow ladder for events beyond the wheel horizon (or
- * behind the cursor). Schedule and cancel are O(1); pop is amortised O(1)
- * for the clustered short-horizon timers that dominate this DES. Wheel
- * buckets are intrusive singly-linked lists through the arena, with one
- * 64-bit occupancy bitmap per level, so finding the next bucket is a
- * couple of ctz instructions.
+ * ~68.7 s span) over a slot arena, with a 4-ary heap as an overflow
+ * ladder for events beyond the wheel horizon (or behind the cursor).
+ * Schedule and cancel are O(1); pop is amortised O(1) for the clustered
+ * short-horizon timers that dominate this DES. Wheel buckets are
+ * intrusive singly-linked lists through the arena, with one 64-bit
+ * occupancy bitmap per level, so finding the next bucket is a couple of
+ * ctz instructions. The arena is split hot and cold: the 32-byte slots
+ * that bucket walks and cascades touch hold only the ordering key, the
+ * link and the generation tag, and the callbacks live in a parallel
+ * vector that only schedule, cancel and pop touch.
  *
  * Determinism: a cascade can interleave entries out of sequence order
  * inside a bucket, so buckets are never trusted for ties. Instead the
  * minimum bucket is drained into a `ready_` list sorted by sequence
- * number, and pop/nextTime always compare the ready head against the
- * ladder top with the full (when, seq) key. The observable pop order is
- * therefore exactly the (when, seq) order of the old comparison-based
- * queue, byte for byte.
+ * number (a one-entry group, the common case, needs no sort), and
+ * settle() compares the ready head against the ladder top with the full
+ * (when, seq) key. The observable pop order is therefore exactly the
+ * (when, seq) order of the old comparison-based queue, byte for byte.
+ * popIfAtOrBefore() settles once per event: it finds the head, checks
+ * it against the caller's deadline and pops it in one visit.
  *
  * Slots carry generation tags, so an EventId is (slot, generation) and
  * cancellation is O(1): validate the tag, destroy the callback in place,
@@ -76,8 +81,8 @@ class EventQueue
     schedule(SimTime when, Callback cb)
     {
         uint32_t slot = allocSlot();
+        cbs_[slot] = std::move(cb);
         Slot &s = slots_[slot];
-        s.cb = std::move(cb);
         s.when = when;
         s.seq = next_seq_++;
         s.next = kNoSlot;
@@ -106,7 +111,7 @@ class EventQueue
             return false;
         // Destroy the callback now (releases captures); the bucket entry
         // or ladder key is dropped lazily when it is next visited.
-        s.cb.reset();
+        cbs_[slot].reset();
         s.state = State::kCancelled;
         ++s.gen; // a second cancel with the same id mismatches
         --live_;
@@ -134,26 +139,46 @@ class EventQueue
     }
 
     /**
+     * Pop the earliest live event if it is due at or before `deadline`:
+     * store its time in `when`, move its callback into `cb`, and return
+     * true. Returns false, leaving the queue's live events and `cb`
+     * untouched, when the queue is empty or its head is later than
+     * `deadline`. One settle serves both the check and the pop.
+     */
+    bool
+    popIfAtOrBefore(SimTime deadline, SimTime &when, Callback &cb)
+    {
+        if (live_ == 0)
+            return false;
+        uint32_t slot;
+        if (settle() == Source::kLadder) {
+            const Key top = ladder_.front();
+            if (top.when > deadline)
+                return false;
+            slot = top.slot;
+            ladderRemoveTop();
+        } else {
+            slot = ready_[ready_head_];
+            if (slots_[slot].when > deadline)
+                return false;
+            ++ready_head_;
+        }
+        when = slots_[slot].when;
+        cb = std::move(cbs_[slot]);
+        freeSlot(slot);
+        --live_;
+        return true;
+    }
+
+    /**
      * Pop and return the earliest live event. Precondition: !empty().
      * The returned pair is (time, callback); the caller invokes it.
      */
     std::pair<SimTime, Callback>
     pop()
     {
-        if (settle() == Source::kLadder) {
-            const Key top = ladder_.front();
-            Slot &s = slots_[top.slot];
-            std::pair<SimTime, Callback> out{top.when, std::move(s.cb)};
-            freeSlot(top.slot);
-            ladderRemoveTop();
-            --live_;
-            return out;
-        }
-        uint32_t slot = ready_[ready_head_++];
-        Slot &s = slots_[slot];
-        std::pair<SimTime, Callback> out{s.when, std::move(s.cb)};
-        freeSlot(slot);
-        --live_;
+        std::pair<SimTime, Callback> out{kSimTimeMax, nullptr};
+        popIfAtOrBefore(kSimTimeMax, out.first, out.second);
         return out;
     }
 
@@ -172,15 +197,19 @@ class EventQueue
     static constexpr uint32_t kSlotMask = kSlotsPerLevel - 1;
     static constexpr uint32_t kNoSlot = UINT32_MAX;
 
+    /**
+     * Hot part of an arena entry: everything bucket walks, cascades and
+     * ladder strips read. Its callback is cbs_[slot].
+     */
     struct Slot
     {
-        Callback cb;
         SimTime when = 0;
         uint64_t seq = 0;
         uint32_t next = kNoSlot; //!< intrusive bucket link
         uint32_t gen = 0;
         State state = State::kFree;
     };
+    static_assert(sizeof(Slot) == 32, "hot slot must stay 32 bytes");
 
     /** Overflow-ladder key; comparisons never touch the slot arena. */
     struct Key
@@ -246,14 +275,18 @@ class EventQueue
         }
         auto slot = static_cast<uint32_t>(slots_.size());
         slots_.emplace_back();
+        cbs_.emplace_back();
         return slot;
     }
 
+    /**
+     * Return a slot to the free list. Its callback is already empty:
+     * cancel() reset it, or the pop moved it out.
+     */
     void
     freeSlot(uint32_t slot)
     {
         Slot &s = slots_[slot];
-        s.cb.reset();
         s.state = State::kFree;
         ++s.gen; // fired/cleaned ids mismatch from now on
         s.next = kNoSlot;
@@ -381,18 +414,19 @@ class EventQueue
 
     /**
      * Find the lowest-level, lowest-index bucket holding a live entry,
-     * purging dead-only buckets on the way. Live entries at one level all
-     * share the enclosing higher-level window, so slot order is time
-     * order and the first live bucket holds the wheel minimum.
+     * purging dead-only buckets on the way, and the earliest live time
+     * in it. Live entries at one level all share the enclosing
+     * higher-level window, so slot order is time order and the first
+     * live bucket holds the wheel minimum.
      */
     bool
-    findMinBucket(int &level_out, uint32_t &bucket_out)
+    findMinBucket(int &level_out, uint32_t &bucket_out, SimTime &min_when)
     {
         for (int level = 0; level < kLevels; ++level) {
             uint64_t occ = occ_[level];
             while (occ != 0) {
                 auto b = static_cast<uint32_t>(std::countr_zero(occ));
-                if (compactBucket(level, b)) {
+                if (compactBucket(level, b, min_when)) {
                     level_out = level;
                     bucket_out = b;
                     return true;
@@ -404,24 +438,30 @@ class EventQueue
     }
 
     /**
-     * Free cancelled entries in a bucket, relinking the survivors. Clears
-     * the occupancy bit and returns false when nothing live remains.
+     * Free cancelled entries in a bucket, relinking the survivors, and
+     * report the earliest survivor's time in `min_when`. Clears the
+     * occupancy bit and returns false when nothing live remains.
      */
     bool
-    compactBucket(int level, uint32_t b)
+    compactBucket(int level, uint32_t b, SimTime &min_when)
     {
         Bucket &bucket = buckets_[level][b];
         uint32_t head = kNoSlot;
         uint32_t tail = kNoSlot;
         uint32_t it = bucket.head;
         while (it != kNoSlot) {
-            uint32_t next = slots_[it].next;
-            if (slots_[it].state == State::kPending) {
-                slots_[it].next = kNoSlot;
-                if (head == kNoSlot)
+            Slot &s = slots_[it];
+            uint32_t next = s.next;
+            if (s.state == State::kPending) {
+                s.next = kNoSlot;
+                if (head == kNoSlot) {
                     head = it;
-                else
+                    min_when = s.when;
+                } else {
                     slots_[tail].next = it;
+                    if (s.when < min_when)
+                        min_when = s.when;
+                }
                 tail = it;
             } else {
                 freeSlot(it);
@@ -439,44 +479,40 @@ class EventQueue
 
     /**
      * Drain the minimum bucket: advance the cursor to its earliest live
-     * time, move that time's entries (sequence-sorted) into `ready_`, and
-     * cascade the rest down by re-placing them against the new cursor.
-     * Re-placement always lands strictly below `level` — an entry sharing
-     * the minimum's level-`level` digit differs from it only in lower
-     * bits. Precondition: compactBucket(level, b) just returned true.
+     * time `min_when`, move that time's entries (sequence-sorted) into
+     * `ready_`, and cascade the rest down by re-placing them against the
+     * new cursor. Re-placement always lands strictly below `level` — an
+     * entry sharing the minimum's level-`level` digit differs from it
+     * only in lower bits. Precondition: compactBucket(level, b, min_when)
+     * just returned true, and `ready_` is empty.
      */
     void
-    drainMinBucket(int level, uint32_t b)
+    drainMinBucket(int level, uint32_t b, SimTime min_when)
     {
         Bucket &bucket = buckets_[level][b];
-        uint32_t head = bucket.head;
+        uint32_t it = bucket.head;
         bucket.head = kNoSlot;
         bucket.tail = kNoSlot;
         occ_[level] &= ~(uint64_t{1} << b);
-
-        SimTime min_when = slots_[head].when;
-        for (uint32_t it = slots_[head].next; it != kNoSlot;
-             it = slots_[it].next) {
-            if (slots_[it].when < min_when)
-                min_when = slots_[it].when;
-        }
         if (min_when > cur_)
             cur_ = min_when;
 
-        uint32_t it = head;
         while (it != kNoSlot) {
-            uint32_t next = slots_[it].next;
-            slots_[it].next = kNoSlot;
-            if (slots_[it].when == min_when)
+            Slot &s = slots_[it];
+            uint32_t next = s.next;
+            s.next = kNoSlot;
+            if (s.when == min_when)
                 ready_.push_back(it);
             else
-                place(it, slots_[it].when);
+                place(it, s.when);
             it = next;
         }
-        std::sort(ready_.begin(), ready_.end(),
-                  [this](uint32_t a, uint32_t b2) {
-                      return slots_[a].seq < slots_[b2].seq;
-                  });
+        if (ready_.size() > 1) {
+            std::sort(ready_.begin(), ready_.end(),
+                      [this](uint32_t x, uint32_t y) {
+                          return slots_[x].seq < slots_[y].seq;
+                      });
+        }
     }
 
     /**
@@ -507,13 +543,14 @@ class EventQueue
             promoteLadder();
             int level;
             uint32_t b;
-            if (findMinBucket(level, b)) {
+            SimTime min_when = 0;
+            if (findMinBucket(level, b, min_when)) {
                 // A surviving ladder top is either behind the cursor
                 // (wins by time) or beyond the horizon (loses to any
                 // wheel entry); promoteLadder() left nothing in between.
                 if (!ladder_.empty() && ladder_.front().when < cur_)
                     return Source::kLadder;
-                drainMinBucket(level, b);
+                drainMinBucket(level, b, min_when);
                 continue;
             }
             // Wheel empty: the earliest live event is on the ladder.
@@ -528,7 +565,8 @@ class EventQueue
 
     Bucket buckets_[kLevels][kSlotsPerLevel];
     uint64_t occ_[kLevels] = {};
-    std::vector<Slot> slots_;
+    std::vector<Slot> slots_; //!< hot arena: key, link, generation
+    std::vector<Callback> cbs_; //!< cold arena: cbs_[slot] is its callback
     std::vector<uint32_t> free_;
     std::vector<Key> ladder_; //!< 4-ary heap: far-future / behind-cursor
     std::vector<uint32_t> ready_; //!< current when-group, seq-sorted

@@ -74,8 +74,8 @@ class Simulator
     void
     runUntil(SimTime deadline)
     {
-        while (!queue_.empty() && queue_.nextTime() <= deadline)
-            step();
+        while (fireNext(deadline)) {
+        }
         if (deadline > now_)
             now_ = deadline;
     }
@@ -96,18 +96,28 @@ class Simulator
                              " events without draining the queue — "
                              "event storm? (limit ", max_events, ")"));
             }
-            step();
+            fireNext(kSimTimeMax);
             ++executed;
         }
     }
 
     /** Execute exactly one event; returns false if none were pending. */
+    bool step() { return fireNext(kSimTimeMax); }
+
+  private:
+    /**
+     * Pop the earliest event if it is due at or before `deadline`,
+     * advance the clock to it and run it; false when none is due. The
+     * callback is local to this call, so its captures are destroyed
+     * before the next event fires.
+     */
     bool
-    step()
+    fireNext(SimTime deadline)
     {
-        if (queue_.empty())
+        SimTime when = 0;
+        Callback cb;
+        if (!queue_.popIfAtOrBefore(deadline, when, cb))
             return false;
-        auto [when, cb] = queue_.pop();
         if (when < now_)
             panic("Simulator: time went backwards");
         now_ = when;
@@ -116,7 +126,6 @@ class Simulator
         return true;
     }
 
-  private:
     EventQueue queue_;
     SimTime now_ = 0;
     uint64_t events_executed_ = 0;

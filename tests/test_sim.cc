@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -131,7 +135,7 @@ TEST(EventQueue, CancelledSlotReuseKeepsIdsDistinct)
 
 TEST(EventQueue, RandomizedAgainstReferenceOrdering)
 {
-    // Drive the 4-ary slotted heap against a std::multimap reference
+    // Drive the timing wheel against a std::multimap reference
     // with a schedule/pop/cancel mix; pop order must match exactly
     // (time-ordered, insertion-order tie-break).
     EventQueue q;
@@ -188,6 +192,147 @@ TEST(EventQueue, RandomizedAgainstReferenceOrdering)
     }
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(got, want);
+}
+
+TEST(EventQueue, PopIfAtOrBeforeAgainstReference)
+{
+    // Directed: a deadline equal to the head's time pops it, one tick
+    // earlier pops nothing and leaves the queue untouched, and a cancel
+    // inside a drained ready group is skipped.
+    {
+        EventQueue q;
+        std::vector<int> order;
+        std::vector<EventId> ids;
+        for (int i = 0; i < 3; ++i)
+            ids.push_back(
+                q.schedule(100, [&order, i] { order.push_back(i); }));
+        SimTime when = -1;
+        SmallCallback cb;
+        EXPECT_FALSE(q.popIfAtOrBefore(99, when, cb));
+        EXPECT_EQ(q.size(), 3u);
+        EXPECT_EQ(when, -1);
+        EXPECT_FALSE(static_cast<bool>(cb));
+        ASSERT_TRUE(q.popIfAtOrBefore(100, when, cb)); // drains all three
+        EXPECT_EQ(when, 100);
+        cb();
+        EXPECT_TRUE(q.cancel(ids[1])); // sits in the ready group
+        EXPECT_EQ(q.size(), 1u);
+        EXPECT_FALSE(q.popIfAtOrBefore(99, when, cb));
+        ASSERT_TRUE(q.popIfAtOrBefore(100, when, cb));
+        cb();
+        EXPECT_FALSE(q.popIfAtOrBefore(kSimTimeMax, when, cb));
+        EXPECT_EQ(order, (std::vector<int>{0, 2}));
+    }
+
+    // Randomized: every pop attempt draws a deadline around the
+    // reference head (at it, one tick before it, or near it), and the
+    // head must pop exactly when its time is at or before the deadline.
+    // Times mix tight clusters (multi-entry ready groups), wheel levels,
+    // the ladder past the 2^36 ns horizon, and times behind the cursor.
+    EventQueue q;
+    std::map<std::pair<SimTime, uint64_t>, std::pair<EventId, int>>
+        reference;
+    Rng rng(4242);
+    uint64_t seq = 0;
+    SimTime cursor = 0; // latest popped time; the wheel cursor is >= it
+    SimTime last_popped = -1;
+    std::vector<int> got;
+    std::vector<int> want;
+    int at_head = 0;
+    int refused = 0;
+    int ready_cancels = 0;
+    int behind = 0;
+    int beyond = 0;
+
+    for (int step = 0; step < 20000; ++step) {
+        double dice = rng.uniform();
+        if (dice < 0.45 || reference.empty()) {
+            double kind = rng.uniform();
+            SimTime when;
+            if (kind < 0.5) {
+                when = cursor + static_cast<SimTime>(rng.below(4));
+            } else if (kind < 0.75) {
+                when = cursor + static_cast<SimTime>(rng.below(1 << 22));
+            } else if (kind < 0.88) {
+                when = cursor + (SimTime{1} << 36) +
+                       static_cast<SimTime>(rng.below(uint64_t{1} << 40));
+                ++beyond;
+            } else if (cursor > 0) {
+                when = cursor - 1 -
+                       static_cast<SimTime>(rng.below(
+                           std::min<uint64_t>(static_cast<uint64_t>(cursor),
+                                              1 << 20)));
+                ++behind;
+            } else {
+                when = 0;
+            }
+            int tag = static_cast<int>(seq);
+            EventId id =
+                q.schedule(when, [tag, &got] { got.push_back(tag); });
+            reference.emplace(std::make_pair(when, seq++),
+                              std::make_pair(id, tag));
+        } else if (dice < 0.55) {
+            // Cancel the head when it shares the last popped time (it
+            // then sits in the drained ready group), else a random one.
+            auto it = reference.begin();
+            if (it->first.first == last_popped) {
+                ++ready_cancels;
+            } else {
+                std::advance(it, static_cast<ptrdiff_t>(
+                                     rng.below(reference.size())));
+            }
+            ASSERT_TRUE(q.cancel(it->second.first));
+            reference.erase(it);
+        } else {
+            auto it = reference.begin();
+            const SimTime head = it->first.first;
+            double pick = rng.uniform();
+            SimTime deadline;
+            if (pick < 0.35)
+                deadline = head;
+            else if (pick < 0.6)
+                deadline = head - 1;
+            else
+                deadline = head - 64 + static_cast<SimTime>(rng.below(128));
+            SimTime when = -1;
+            SmallCallback cb;
+            const size_t size_before = q.size();
+            const bool popped = q.popIfAtOrBefore(deadline, when, cb);
+            ASSERT_EQ(popped, head <= deadline);
+            if (!popped) {
+                ++refused;
+                ASSERT_EQ(q.size(), size_before);
+                ASSERT_EQ(when, -1);
+                ASSERT_FALSE(static_cast<bool>(cb));
+            } else {
+                at_head += deadline == head;
+                ASSERT_EQ(when, head);
+                want.push_back(it->second.second);
+                cb();
+                last_popped = when;
+                cursor = std::max(cursor, when);
+                reference.erase(it);
+            }
+        }
+        ASSERT_EQ(q.size(), reference.size());
+    }
+    SimTime when;
+    SmallCallback cb;
+    while (q.popIfAtOrBefore(kSimTimeMax, when, cb)) {
+        auto it = reference.begin();
+        ASSERT_EQ(when, it->first.first);
+        want.push_back(it->second.second);
+        cb();
+        reference.erase(it);
+    }
+    EXPECT_TRUE(reference.empty());
+    EXPECT_EQ(got, want);
+    // The mix reached every case the test is meant to cover.
+    EXPECT_GT(at_head, 100);
+    EXPECT_GT(refused, 100);
+    EXPECT_GT(ready_cancels, 10);
+    EXPECT_GT(behind, 100);
+    EXPECT_GT(beyond, 100);
 }
 
 TEST(EventQueue, PeakDepthHighWaterMark)
@@ -544,6 +689,72 @@ TEST(Simulator, CancelPendingEvent)
     EXPECT_TRUE(sim.cancel(id));
     sim.runAll();
     EXPECT_FALSE(fired);
+}
+
+TEST(Simulator, RunUntilDestroysCapturesBeforeNextEvent)
+{
+    // An event's captures are destroyed when it returns, before the next
+    // event is chosen, whichever entry point drives the loop. A capture
+    // whose destructor schedules work at the current time (C) therefore
+    // runs ahead of a later event (B), never behind it.
+    struct Guard
+    {
+        std::vector<std::string> *log;
+        Simulator *reschedule_on; //!< schedules C when non-null
+        Guard(std::vector<std::string> *l, Simulator *s)
+            : log(l), reschedule_on(s)
+        {
+        }
+        Guard(Guard &&other) noexcept
+            : log(std::exchange(other.log, nullptr)),
+              reschedule_on(other.reschedule_on)
+        {
+        }
+        Guard(const Guard &) = delete;
+        Guard &operator=(const Guard &) = delete;
+        Guard &operator=(Guard &&) = delete;
+        ~Guard()
+        {
+            if (log == nullptr)
+                return;
+            log->push_back("A-destroyed");
+            if (reschedule_on != nullptr) {
+                reschedule_on->at(reschedule_on->now(), [l = log] {
+                    l->push_back("C-fired");
+                });
+            }
+        }
+    };
+    using Log = std::vector<std::string>;
+    for (bool reschedule : {false, true}) {
+        for (SimTime b_at : {SimTime{10}, SimTime{20}}) {
+            Log expected{"A-fired", "A-destroyed", "B-fired"};
+            if (reschedule) {
+                expected.insert(b_at == 10 ? expected.end()
+                                           : expected.end() - 1,
+                                "C-fired");
+            }
+            for (int driver = 0; driver < 3; ++driver) {
+                Simulator sim;
+                Log log;
+                sim.at(10, [g = Guard(&log, reschedule ? &sim : nullptr)] {
+                    g.log->push_back("A-fired");
+                });
+                sim.at(b_at, [&log] { log.push_back("B-fired"); });
+                if (driver == 0) {
+                    sim.runUntil(100);
+                } else if (driver == 1) {
+                    sim.runAll();
+                } else {
+                    while (sim.step()) {
+                    }
+                }
+                EXPECT_EQ(log, expected)
+                    << "driver " << driver << ", B at " << b_at
+                    << ", reschedule " << reschedule;
+            }
+        }
+    }
 }
 
 TEST(PeriodicTimer, FiresEveryPeriod)
