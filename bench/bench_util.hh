@@ -45,6 +45,14 @@ adversary()
     return adversaryFlag();
 }
 
+/** Wall-clock reading taken when parseArgs() ran (profiling only). */
+inline double &
+startMs()
+{
+    static double ms = 0.0;
+    return ms;
+}
+
 /**
  * Parse the shared bench flags. Unknown arguments abort with a usage
  * message so typos in long sweep invocations fail fast.
@@ -59,6 +67,7 @@ adversary()
 inline void
 parseArgs(int argc, char **argv)
 {
+    startMs() = isolbench::sweep::monotonicMs();
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--jobs") == 0) {
             auto jobs = i + 1 < argc ? isol::parseUint(argv[++i])
@@ -99,17 +108,16 @@ parseArgs(int argc, char **argv)
 }
 
 /**
- * Emit the sweep self-profile: a summary on stderr (stdout stays
- * byte-identical across thread counts) plus BENCH_sweep.json for
- * cross-PR perf tracking.
+ * Emit the sweep self-profile on stderr (stdout stays byte-identical
+ * across thread counts): the summed task time of every scenario, then
+ * the wall time since parseArgs().
  */
 inline void
 emitSweepReport()
 {
-    std::fprintf(stderr, "%s\n",
-                 isolbench::sweep::profileSummaryLine().c_str());
-    if (!isolbench::sweep::writeProfileJson("BENCH_sweep.json"))
-        std::fprintf(stderr, "warning: could not write BENCH_sweep.json\n");
+    std::fprintf(stderr, "%s, %.1f ms wall\n",
+                 isolbench::sweep::profileSummaryLine().c_str(),
+                 isolbench::sweep::monotonicMs() - startMs());
 }
 
 /** True when quick mode is requested via ISOL_BENCH_QUICK. */

@@ -5,8 +5,8 @@
  * When the build defines ISOL_COUNT_ALLOCS (CMake option, default ON),
  * alloc_hook.cc replaces the global operator new/delete with versions
  * that bump thread-local counters before forwarding to malloc/free. The
- * steady-state tests and `micro_components` read the counters around a
- * measured region to assert (or report) allocations per simulated I/O.
+ * zero-allocation tests read the counters around a measured region to
+ * assert allocations per simulated I/O (or per queue event).
  *
  * Counters are thread-local: a worker thread observes only its own
  * allocations, so parallel sweeps do not perturb the measurement and

@@ -325,20 +325,8 @@ Scenario::run()
             bdev->finalInvariantChecks();
     }
 
-    sweep::ScenarioProfile profile;
-    profile.name = cfg_.name;
-    profile.wall_ms = wall_ms;
-    profile.events = sim_.eventsExecuted();
-    profile.events_per_sec =
-        profile.wall_ms > 0.0
-            ? static_cast<double>(profile.events) / (profile.wall_ms / 1e3)
-            : 0.0;
-    profile.peak_queue_depth = sim_.peakQueueDepth();
-    profile.invariant_checks = inv_ ? inv_->checksPerformed() : 0;
-    profile.adversary_tenants = adversaryTenants();
-    for (auto &bdev : bdevs_)
-        profile.gate_bookkeeping_ops += bdev->gateBookkeepingOps();
-    sweep::recordProfile(std::move(profile));
+    sweep::recordProfile(sweep::ScenarioProfile{
+        wall_ms, sim_.eventsExecuted(), sim_.peakQueueDepth()});
 
     // A run that finishes with inconsistent counters must not flow into
     // a figure: the violation propagates and fails the whole sweep.

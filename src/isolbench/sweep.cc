@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
@@ -67,25 +66,11 @@ failureSummary(const std::vector<TaskFailure> &failures)
     return msg;
 }
 
-// isol-lint: allow(D4): protects the profile sink below
+// isol-lint: allow(D4): protects the profile summary below
 std::mutex g_profile_mutex;
-// isol-lint: allow(D4): profiling sink (stderr/JSON only); recorded in
-// completion order by design, summaries fold commutatively
-std::vector<ScenarioProfile> g_profiles;
-
-void
-appendJsonProfile(std::string &out, const ScenarioProfile &p)
-{
-    out += strCat("    {\"name\": \"", p.name, "\", \"wall_ms\": ",
-                  formatDouble(p.wall_ms, 3), ", \"events\": ", p.events,
-                  ", \"events_per_sec\": ",
-                  formatDouble(p.events_per_sec, 0),
-                  ", \"peak_queue_depth\": ", p.peak_queue_depth,
-                  ", \"invariant_checks\": ", p.invariant_checks,
-                  ", \"adversary_tenants\": ", p.adversary_tenants,
-                  ", \"gate_bookkeeping_ops\": ", p.gate_bookkeeping_ops,
-                  "}");
-}
+// isol-lint: allow(D4): profiling sink (stderr only); every field folds
+// commutatively, so completion order does not matter
+ProfileSummary g_summary;
 
 } // namespace
 
@@ -163,7 +148,7 @@ double
 monotonicMs()
 {
     // isol-lint: allow(D2): the sanctioned profiling clock; feeds
-    // stderr/BENCH_sweep.json only, never simulated state
+    // stderr and perfbench host timings only, never simulated state
     auto now = std::chrono::steady_clock::now();
     return std::chrono::duration<double, std::milli>(
                now.time_since_epoch())
@@ -171,41 +156,28 @@ monotonicMs()
 }
 
 void
-recordProfile(ScenarioProfile profile)
+recordProfile(const ScenarioProfile &profile)
 {
     std::lock_guard<std::mutex> lock(g_profile_mutex);
-    g_profiles.push_back(std::move(profile));
-}
-
-std::vector<ScenarioProfile>
-profiles()
-{
-    std::lock_guard<std::mutex> lock(g_profile_mutex);
-    return g_profiles;
+    ++g_summary.scenarios;
+    g_summary.wall_ms += profile.wall_ms;
+    g_summary.events += profile.events;
+    if (profile.peak_queue_depth > g_summary.peak_queue_depth)
+        g_summary.peak_queue_depth = profile.peak_queue_depth;
 }
 
 void
 clearProfiles()
 {
     std::lock_guard<std::mutex> lock(g_profile_mutex);
-    g_profiles.clear();
+    g_summary = ProfileSummary{};
 }
 
 ProfileSummary
 profileSummary()
 {
-    ProfileSummary summary;
     std::lock_guard<std::mutex> lock(g_profile_mutex);
-    for (const ScenarioProfile &p : g_profiles) {
-        ++summary.scenarios;
-        summary.wall_ms += p.wall_ms;
-        summary.events += p.events;
-        if (p.peak_queue_depth > summary.peak_queue_depth)
-            summary.peak_queue_depth = p.peak_queue_depth;
-        summary.invariant_checks += p.invariant_checks;
-        summary.adversary_tenants += p.adversary_tenants;
-        summary.gate_bookkeeping_ops += p.gate_bookkeeping_ops;
-    }
+    ProfileSummary summary = g_summary;
     if (summary.wall_ms > 0.0) {
         summary.events_per_sec = static_cast<double>(summary.events) /
                                  (summary.wall_ms / 1e3);
@@ -222,40 +194,6 @@ profileSummaryLine()
                   " ms sim-cpu (", formatDouble(s.events_per_sec / 1e6, 2),
                   " M events/s, peak queue depth ", s.peak_queue_depth,
                   ", jobs=", defaultJobs(), ")");
-}
-
-bool
-writeProfileJson(const std::string &path)
-{
-    ProfileSummary s = profileSummary();
-    std::vector<ScenarioProfile> all = profiles();
-
-    std::string out = "{\n";
-    out += strCat("  \"jobs\": ", defaultJobs(), ",\n");
-    out += strCat("  \"scenarios\": ", s.scenarios, ",\n");
-    out += strCat("  \"wall_ms\": ", formatDouble(s.wall_ms, 3), ",\n");
-    out += strCat("  \"events\": ", s.events, ",\n");
-    out += strCat("  \"events_per_sec\": ",
-                  formatDouble(s.events_per_sec, 0), ",\n");
-    out += strCat("  \"peak_queue_depth\": ", s.peak_queue_depth, ",\n");
-    out += strCat("  \"invariant_checks\": ", s.invariant_checks, ",\n");
-    out += strCat("  \"adversary_tenants\": ", s.adversary_tenants,
-                  ",\n");
-    out += strCat("  \"gate_bookkeeping_ops\": ", s.gate_bookkeeping_ops,
-                  ",\n");
-    out += "  \"per_scenario\": [\n";
-    for (size_t i = 0; i < all.size(); ++i) {
-        appendJsonProfile(out, all[i]);
-        out += i + 1 < all.size() ? ",\n" : "\n";
-    }
-    out += "  ]\n}\n";
-
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    std::fputs(out.c_str(), f);
-    std::fclose(f);
-    return true;
 }
 
 } // namespace isol::isolbench::sweep

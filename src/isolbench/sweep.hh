@@ -20,11 +20,11 @@
  * or resume, and a bench whose task fails exits non-zero instead of
  * printing a table with rows missing.
  *
- * The engine also hosts the per-scenario wall-clock self-profiler:
- * Scenario::run() reports (events, events/sec, peak queue depth) here,
- * benches surface the aggregate on stderr and dump `BENCH_sweep.json`
- * so the perf trajectory is trackable across PRs. Profiling goes to
- * stderr/JSON only — stdout stays deterministic.
+ * The engine also hosts the wall-clock self-profiler: Scenario::run()
+ * folds (wall time, events, peak queue depth) into one running summary
+ * here, and benches print it on stderr. Only the summary is kept, so a
+ * long-lived process does not grow with the number of scenarios it
+ * runs. Profiling goes to stderr only — stdout stays deterministic.
  */
 
 #ifndef ISOL_ISOLBENCH_SWEEP_HH
@@ -110,43 +110,26 @@ map(size_t n, Fn fn, uint32_t jobs = 0)
 /**
  * Monotonic wall-clock reading in milliseconds. The single sanctioned
  * profiling clock: wall time only ever feeds stderr summaries and
- * BENCH_sweep.json, never simulated state (isol-lint rule D2 flags any
- * other clock use).
+ * perfbench's host timings, never simulated state (isol-lint rule D2
+ * flags any other clock use).
  */
 double monotonicMs();
 
 /** Wall-clock profile of one completed Scenario::run(). */
 struct ScenarioProfile
 {
-    std::string name;
     double wall_ms = 0.0;
     uint64_t events = 0;
-    double events_per_sec = 0.0;
     uint64_t peak_queue_depth = 0;
-    /** Runtime invariant checks performed (0 when checking is off). */
-    uint64_t invariant_checks = 0;
-    /** Tenants tagged with an adversary profile (chaos coverage). */
-    uint64_t adversary_tenants = 0;
-    /**
-     * Per-cgroup bookkeeping operations inside the gates and elevators
-     * (share recomputes, chain charge walks, window/queue scans), summed
-     * over all devices. Deterministic event counts — with `events` they
-     * give the fleet benches a "bookkeeping share" per scenario showing
-     * where gate state handling becomes the scaling bottleneck.
-     */
-    uint64_t gate_bookkeeping_ops = 0;
 };
 
-/** Record one profile (thread-safe; called by Scenario::run()). */
-void recordProfile(ScenarioProfile profile);
+/** Fold one profile into the summary (thread-safe; Scenario::run()). */
+void recordProfile(const ScenarioProfile &profile);
 
-/** Snapshot of all profiles recorded so far, in completion order. */
-std::vector<ScenarioProfile> profiles();
-
-/** Drop all recorded profiles (tests). */
+/** Reset the summary to no scenarios (tests). */
 void clearProfiles();
 
-/** Aggregate view over the recorded profiles. */
+/** Aggregate over every profile recorded since the last clear. */
 struct ProfileSummary
 {
     uint64_t scenarios = 0;
@@ -154,21 +137,12 @@ struct ProfileSummary
     uint64_t events = 0;
     double events_per_sec = 0.0; //!< events / summed wall time
     uint64_t peak_queue_depth = 0; //!< max across scenarios
-    uint64_t invariant_checks = 0; //!< summed runtime invariant checks
-    uint64_t adversary_tenants = 0; //!< summed adversarial tenants
-    uint64_t gate_bookkeeping_ops = 0; //!< summed gate bookkeeping work
 };
 
 ProfileSummary profileSummary();
 
 /** One-line human-readable summary (benches print this to stderr). */
 std::string profileSummaryLine();
-
-/**
- * Write the summary plus per-scenario profiles as JSON (BENCH_sweep.json).
- * Returns false when the file cannot be opened.
- */
-bool writeProfileJson(const std::string &path);
 
 } // namespace isol::isolbench::sweep
 

@@ -17,13 +17,12 @@
  * link and the generation tag, and the callbacks live in a parallel
  * vector that only schedule, cancel and pop touch.
  *
- * Determinism: a cascade can interleave entries out of sequence order
- * inside a bucket, so buckets are never trusted for ties. Instead the
- * minimum bucket is drained into a `ready_` list sorted by sequence
- * number (a one-entry group, the common case, needs no sort), and
- * settle() compares the ready head against the ladder top with the full
- * (when, seq) key. The observable pop order is therefore exactly the
- * (when, seq) order of the old comparison-based queue, byte for byte.
+ * Determinism: the minimum bucket's entries at its earliest time are
+ * drained, in list order, into a `ready_` list, and settle() compares
+ * the ready head against the ladder top with the full (when, seq) key.
+ * List order is schedule order within one time (see drainMinBucket()),
+ * so the observable pop order is exactly the (when, seq) order of a
+ * comparison-based queue, byte for byte.
  * popIfAtOrBefore() settles once per event: it finds the head, checks
  * it against the caller's deadline and pops it in one visit.
  *
@@ -39,7 +38,6 @@
 #ifndef ISOL_SIM_EVENT_QUEUE_HH
 #define ISOL_SIM_EVENT_QUEUE_HH
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <utility>
@@ -393,9 +391,10 @@ class EventQueue
     }
 
     /**
-     * Move ladder entries that the advancing cursor brought inside the
-     * wheel horizon back into the wheel (promotion). Entries behind the
-     * cursor stay on the ladder and win pops via the (when, seq) compare.
+     * Move ladder entries that a cursor jump brought inside the wheel
+     * horizon back into the wheel (promotion), in (when, seq) order.
+     * Entries behind the cursor stay on the ladder and win pops via the
+     * (when, seq) compare.
      */
     void
     promoteLadder()
@@ -479,12 +478,32 @@ class EventQueue
 
     /**
      * Drain the minimum bucket: advance the cursor to its earliest live
-     * time `min_when`, move that time's entries (sequence-sorted) into
-     * `ready_`, and cascade the rest down by re-placing them against the
-     * new cursor. Re-placement always lands strictly below `level` — an
-     * entry sharing the minimum's level-`level` digit differs from it
-     * only in lower bits. Precondition: compactBucket(level, b, min_when)
-     * just returned true, and `ready_` is empty.
+     * time `min_when`, move that time's entries into `ready_`, and
+     * cascade the rest down by re-placing them against the new cursor.
+     * Re-placement always lands strictly below `level` — an entry
+     * sharing the minimum's level-`level` digit differs from it only in
+     * lower bits. Precondition: compactBucket(level, b, min_when) just
+     * returned true, and `ready_` is empty.
+     *
+     * `ready_` needs no sort: entries of one time meet in one bucket, in
+     * schedule (seq) order. Two invariants give this.
+     *  (P) Every live wheel entry sits in the bucket place() picks for
+     *      it against the current cursor. A drain moves the cursor from
+     *      c0 to the wheel minimum c1 and re-places the drained bucket.
+     *      Any other entry E at level L shares with c0, and so with c1
+     *      (c0 <= c1 <= E), every digit above L; had c1 also E's level-L
+     *      digit, c1 would have sat in E's bucket, the one drained. So E
+     *      keeps its bucket. A jump moves the cursor only when the wheel
+     *      is empty. Hence all live wheel entries of one time share one
+     *      bucket.
+     *  (O) Within a bucket, entries of one time are in seq order.
+     *      schedule() appends the largest seq yet. A drain re-files one
+     *      bucket in list order, and by (P) no other bucket held those
+     *      times. Promotion pops the ladder in (when, seq) order, and
+     *      only after a jump into an empty wheel: c1 above was a wheel
+     *      entry, so a drain never changes the cursor's digits above the
+     *      wheel span and brings no ladder entry inside the horizon.
+     *      Entries behind the cursor never enter a bucket.
      */
     void
     drainMinBucket(int level, uint32_t b, SimTime min_when)
@@ -506,12 +525,6 @@ class EventQueue
             else
                 place(it, s.when);
             it = next;
-        }
-        if (ready_.size() > 1) {
-            std::sort(ready_.begin(), ready_.end(),
-                      [this](uint32_t x, uint32_t y) {
-                          return slots_[x].seq < slots_[y].seq;
-                      });
         }
     }
 
@@ -540,14 +553,13 @@ class EventQueue
                            ? Source::kLadder
                            : Source::kReady;
             }
-            promoteLadder();
             int level;
             uint32_t b;
             SimTime min_when = 0;
             if (findMinBucket(level, b, min_when)) {
-                // A surviving ladder top is either behind the cursor
-                // (wins by time) or beyond the horizon (loses to any
-                // wheel entry); promoteLadder() left nothing in between.
+                // The ladder top is either behind the cursor (wins by
+                // time) or beyond the horizon (loses to any wheel
+                // entry): the last jump promoted everything in between.
                 if (!ladder_.empty() && ladder_.front().when < cur_)
                     return Source::kLadder;
                 drainMinBucket(level, b, min_when);
@@ -569,7 +581,7 @@ class EventQueue
     std::vector<Callback> cbs_; //!< cold arena: cbs_[slot] is its callback
     std::vector<uint32_t> free_;
     std::vector<Key> ladder_; //!< 4-ary heap: far-future / behind-cursor
-    std::vector<uint32_t> ready_; //!< current when-group, seq-sorted
+    std::vector<uint32_t> ready_; //!< current when-group, in seq order
     size_t ready_head_ = 0;
     SimTime cur_ = 0; //!< wheel cursor; trails the earliest live event
     uint64_t next_seq_ = 0;

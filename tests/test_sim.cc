@@ -516,6 +516,82 @@ TEST(EventQueue, RandomizedWideHorizonsAgainstReference)
     EXPECT_EQ(got, want);
 }
 
+TEST(EventQueue, SameTimeGroupsKeepScheduleOrderOnEveryPath)
+{
+    // The queue hands out a same-time group in bucket order, unsorted,
+    // so every way an entry reaches a bucket must keep such a group in
+    // schedule order. Each group below is interleaved with other times;
+    // a std::multimap keyed by time alone is the reference, since it
+    // keeps equal keys in insertion order.
+    EventQueue q;
+    std::multimap<SimTime, int> reference;
+    std::vector<int> got;
+    std::vector<int> want;
+    int next_tag = 0;
+    auto add = [&](SimTime when) {
+        int tag = next_tag++;
+        q.schedule(when, [tag, &got] { got.push_back(tag); });
+        reference.emplace(when, tag);
+    };
+    auto popThrough = [&](SimTime until) {
+        while (!reference.empty() && reference.begin()->first <= until) {
+            auto [when, cb] = q.pop();
+            ASSERT_EQ(when, reference.begin()->first);
+            want.push_back(reference.begin()->second);
+            reference.erase(reference.begin());
+            cb();
+        }
+    };
+    auto levelTime = [](int level) {
+        return (SimTime{3} << (6 * level)) + 100 * level;
+    };
+
+    // Direct placement at wheel levels 0-5 (cursor at 0), three members
+    // per group; every group above level 0 later cascades down.
+    for (int member = 0; member < 3; ++member) {
+        for (int level = 0; level < 6; ++level) {
+            add(levelTime(level));
+            add(levelTime(level) + 1);
+        }
+    }
+    // An opener in the level-5 group's bucket: draining it cascades the
+    // group to a lower level, where two more members then land directly.
+    const SimTime opener = levelTime(5) - 60;
+    add(opener);
+    // Groups beyond the horizon wait on the ladder until the cursor jumps.
+    const SimTime far = SimTime{1} << 40;
+    const SimTime farther = far + (SimTime{1} << 37);
+    for (int member = 0; member < 3; ++member) {
+        add(far + 7);
+        add(far);
+        add(farther);
+    }
+
+    popThrough(opener);
+    add(levelTime(5));
+    add(levelTime(5));
+    popThrough(levelTime(5) + 1);
+
+    // The wheel is empty: the cursor jumps to `far` and promotes both
+    // `far` groups; two more `far + 7` members join the promoted ones.
+    popThrough(far);
+    add(far + 7);
+    add(far + 7);
+    popThrough(far + 7);
+
+    // Behind the cursor: groups stay on the ladder, ordered by key.
+    for (int member = 0; member < 3; ++member) {
+        add(far + 3);
+        add(far + 1);
+        add(far + 7);
+    }
+    popThrough(kSimTimeMax);
+
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(got.size(), static_cast<size_t>(next_tag));
+}
+
 TEST(SmallCallback, InlineCaptureInvokes)
 {
     int hits = 0;

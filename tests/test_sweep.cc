@@ -265,18 +265,22 @@ TEST(SweepProfiler, RecordsScenarioRuns)
 {
     sweep::clearProfiles();
     faultedScenarioFingerprint(3);
-    auto profiles = sweep::profiles();
-    ASSERT_EQ(profiles.size(), 1u);
-    EXPECT_EQ(profiles[0].name, "sweep-faults-3");
-    EXPECT_GT(profiles[0].events, 0u);
-    EXPECT_GT(profiles[0].peak_queue_depth, 0u);
-
-    auto summary = sweep::profileSummary();
-    EXPECT_EQ(summary.scenarios, 1u);
-    EXPECT_EQ(summary.events, profiles[0].events);
+    auto once = sweep::profileSummary();
+    EXPECT_EQ(once.scenarios, 1u);
+    EXPECT_GT(once.events, 0u);
+    EXPECT_GT(once.peak_queue_depth, 0u);
     EXPECT_NE(sweep::profileSummaryLine().find("1 scenarios"),
               std::string::npos);
+
+    // A second, identical run folds into the same summary: counts add,
+    // the peak depth is a max.
+    faultedScenarioFingerprint(3);
+    auto twice = sweep::profileSummary();
+    EXPECT_EQ(twice.scenarios, 2u);
+    EXPECT_EQ(twice.events, 2 * once.events);
+    EXPECT_EQ(twice.peak_queue_depth, once.peak_queue_depth);
     sweep::clearProfiles();
+    EXPECT_EQ(sweep::profileSummary().scenarios, 0u);
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -27,8 +28,10 @@
 #include "blk/qos_latency.hh"
 #include "blk/qos_max.hh"
 #include "common/alloc_hook.hh"
+#include "common/rng.hh"
 #include "common/strings.hh"
 #include "isolbench/scenario.hh"
+#include "sim/event_queue.hh"
 #include "sim/invariants.hh"
 #include "workload/app_profiles.hh"
 
@@ -82,6 +85,67 @@ TEST(ZeroAlloc, SteadyStateHotPathDoesNotAllocate)
     EXPECT_LT(per_io, 0.01)
         << counters.allocs << " allocations over " << ios
         << " steady-state I/Os (" << counters.bytes << " bytes)";
+}
+
+TEST(ZeroAlloc, EventQueueMixDoesNotAllocate)
+{
+    if (!common::allocCountingEnabled())
+        GTEST_SKIP() << "built without ISOL_COUNT_ALLOCS";
+
+    // The horizon micro-benchmark's shape on a bare queue: 8192 live
+    // clustered timers, every step pops one and reschedules it, and
+    // every eighth step also schedules a far-future event that a later
+    // batch cancels. Each pass starts with the cursor parked on a
+    // multiple of the wheel span, so the replay repeats the warm-up pass
+    // exactly and must find every arena big enough.
+    sim::EventQueue q;
+    uint64_t fired = 0;
+    // Popping a marker beyond the horizon frees every cancelled entry
+    // the last pass left behind and jumps the cursor to `base`.
+    auto park = [&q](SimTime base) {
+        q.schedule(base, [] {});
+        q.pop().second();
+    };
+    auto pass = [&q, &fired](SimTime base) {
+        Rng rng(11);
+        auto next = [&rng](SimTime now) {
+            return now + 1 + static_cast<SimTime>(rng.below(2000));
+        };
+        for (int i = 0; i < 8192; ++i)
+            q.schedule(next(base), [&fired] { ++fired; });
+        std::array<sim::EventId, 32> cancellable{};
+        size_t pending = 0;
+        for (uint32_t step = 0; step < (1u << 16); ++step) {
+            auto [now, cb] = q.pop();
+            cb();
+            q.schedule(next(now), [&fired] { ++fired; });
+            if (step % 8 != 0)
+                continue;
+            cancellable[pending++] = q.schedule(
+                next(now) + msToNs(10), [&fired] { ++fired; });
+            if (pending == cancellable.size()) {
+                for (sim::EventId id : cancellable)
+                    q.cancel(id);
+                pending = 0;
+            }
+        }
+        while (!q.empty())
+            q.pop().second();
+    };
+
+    constexpr SimTime kWheelSpan = SimTime{1} << 36;
+    park(kWheelSpan);
+    pass(kWheelSpan);
+    uint64_t warm_fired = fired;
+    park(2 * kWheelSpan);
+    common::resetAllocCounters();
+    pass(2 * kWheelSpan);
+    common::AllocCounters counters = common::allocCounters();
+
+    EXPECT_EQ(fired, 2 * warm_fired) << "the replay must repeat the pass";
+    EXPECT_EQ(counters.allocs, 0u)
+        << counters.bytes << " bytes allocated replaying "
+        << warm_fired << " queue events";
 }
 
 TEST(ZeroAlloc, SteadyStateInteriorIoMaxDoesNotAllocate)

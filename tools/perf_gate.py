@@ -1,189 +1,160 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over BENCH_micro.json.
+"""Performance gate: paired perfbench runs of this tree against a base.
 
-Compares a freshly generated BENCH_micro.json (the candidate, produced
-by running `bench/micro_components` in the build tree) against the
-committed baseline at the repo root, and exits non-zero when any gated
-metric regressed by more than the tolerance (default 15%).
+    python3 tools/perf_gate.py --base ../parent --pairs 3
 
-Gated metrics:
-  * throughput (higher is better): the current event queue's ops/sec on
-    the mixed workload and on each horizon distribution, and the
-    end-to-end sweep events/sec;
-  * speedup ratios (higher is better): wheel vs seed and wheel vs the
-    frozen 4-ary heap, overall and per horizon — ratios are robust to
-    runner speed, so they catch real queue regressions even when the CI
-    machine differs from the one that produced the baseline;
-  * allocation counts (lower is better): wheel allocations per queue op
-    must not grow beyond the baseline plus a small absolute slack.
+--base is a checkout of the commit to compare against (for a pull
+request, its merge base). For every workload in BENCHMARK.json the gate
+runs `perfbench/run.py --trace 0` at that file's run_seconds with one
+fixed seed, once in the base and once in this tree per pair; the side
+that runs first alternates from pair to pair. perfbench builds its own
+Release tree in each checkout on first use.
 
-A hard floor is also enforced: the clustered-horizon speedup over the
-4-ary heap may never drop below --min-clustered-speedup (default 1.8;
-the committed baseline is >= 2x, the floor leaves noise headroom).
-
-With --fleet-sweep, the gate additionally reads a BENCH_sweep.json
-produced by `bench/fleet_scale` and enforces an absolute events/sec
-floor on every 1024-tenant per-scenario entry (names starting with
---fleet-prefix, default "fleet_t1024"). The floor is deliberately far
-below the reference machine's numbers (io.cost ~330k, io.max ~2.5M
-events/sec) so it only trips on gross bookkeeping blow-ups — e.g. a
-per-cgroup walk going O(groups) instead of O(depth) — not on runner
-speed.
+The gate fails when any run is not correct or has a failed scenario, or
+when this tree's median of an end_to_end metric is worse than the base's
+median by more than that metric's bound. Workloads, run length and
+bounds all come from BENCHMARK.json, so the gate has no tolerance of its
+own: it applies the same no-regression rule as PR acceptance. It prints,
+per metric, both medians, the base's interquartile range and how many
+pairs this tree won, and per workload whether sim_digest matched.
 """
 
 import argparse
 import json
+import re
+import statistics
+import subprocess
 import sys
+from pathlib import Path
 
-# (dotted path, higher_is_better)
-RELATIVE_METRICS = [
-    ("event_queue_mixed.current_ops_per_sec", True),
-    ("event_queue_mixed.speedup_vs_seed", True),
-    ("event_queue_mixed.speedup_vs_heap", True),
-    ("event_queue_horizons.uniform.wheel_ops_per_sec", True),
-    ("event_queue_horizons.clustered.wheel_ops_per_sec", True),
-    ("event_queue_horizons.bimodal.wheel_ops_per_sec", True),
-    ("event_queue_horizons.uniform.speedup_vs_heap", True),
-    ("event_queue_horizons.clustered.speedup_vs_heap", True),
-    ("event_queue_horizons.bimodal.speedup_vs_heap", True),
-    ("sweep_end_to_end.events_per_sec", True),
-]
-
-# Absolute-slack metrics: candidate must be <= baseline + slack.
-ALLOC_METRICS = [
-    "event_queue_horizons.uniform.wheel_allocs_per_op",
-    "event_queue_horizons.clustered.wheel_allocs_per_op",
-    "event_queue_horizons.bimodal.wheel_allocs_per_op",
-]
-ALLOC_SLACK = 0.001
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 3
 
 
-def lookup(doc, dotted):
-    node = doc
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    return node
+def iqr(values):
+    """Interquartile range (0 for fewer than two values)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def verdict(base_runs, tree_runs, specs):
+    """Judge one workload from the parsed run.py JSON of both sides.
+
+    base_runs and tree_runs are lists of run.py result objects, pair i
+    being (base_runs[i], tree_runs[i]); specs are BENCHMARK.json's
+    end_to_end entries. Returns (failures, rows): failure messages, empty
+    when the workload passes, and one report row per metric.
+    """
+    failures = []
+    for side, runs in (("base", base_runs), ("tree", tree_runs)):
+        for i, run in enumerate(runs, 1):
+            failed = run.get("failed", 0)
+            if not run.get("correct", False) or failed:
+                failures.append("%s run %d is not correct (%d failed "
+                                "scenarios)" % (side, i, failed))
+    rows = []
+    for spec in specs:
+        name = spec["name"]
+        try:
+            base = [run["metrics"][name]["value"] for run in base_runs]
+            tree = [run["metrics"][name]["value"] for run in tree_runs]
+        except KeyError:
+            failures.append("%s: missing from a run's metrics" % name)
+            continue
+        base_median = statistics.median(base)
+        tree_median = statistics.median(tree)
+        higher = spec["better"] == "higher"
+        worse = (base_median - tree_median if higher
+                 else tree_median - base_median) / base_median
+        ok = worse <= spec["bound"]
+        if not ok:
+            failures.append("%s: %.1f%% worse than the base, bound %.0f%%"
+                            % (name, 100 * worse, 100 * spec["bound"]))
+        wins = sum(t > b if higher else t < b for b, t in zip(base, tree))
+        rows.append({"name": name, "base": base_median, "tree": tree_median,
+                     "base_iqr": iqr(base), "worse": worse,
+                     "bound": spec["bound"], "wins": wins,
+                     "pairs": len(tree), "ok": ok})
+    return failures, rows
+
+
+def run_once(tree, workload, seconds):
+    """One untraced perfbench run in checkout `tree`: (result, digest).
+
+    A run that crashes or prints no result counts as not correct."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True)
+    digest = re.search(r"^sim_digest: (\S+)$", proc.stdout, re.MULTILINE)
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        result = None
+    if proc.returncode != 0 or not isinstance(result, dict):
+        tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        print("    %s: run.py exited with %d: %s"
+              % (tree, proc.returncode, tail))
+        result = {"correct": False, "failed": 0, "metrics": {}}
+    return result, digest[1] if digest else None
+
+
+def gate_workload(base_dir, workload, seconds, pairs, specs):
+    """Run the pairs of one workload, print its report, return failures."""
+    runs = {"base": [], "tree": []}
+    digests = set()
+    for pair in range(pairs):
+        order = ("base", "tree") if pair % 2 == 0 else ("tree", "base")
+        for side in order:
+            result, digest = run_once(base_dir if side == "base" else ROOT,
+                                      workload, seconds)
+            runs[side].append(result)
+            digests.add(digest)
+            value = result["metrics"].get("sim_ios_per_s", {}).get("value")
+            print("  pair %d/%d %s: correct=%s sim_ios_per_s=%s"
+                  % (pair + 1, pairs, side, result.get("correct"),
+                     "%.6g" % value if value is not None else "-"),
+                  flush=True)
+    failures, rows = verdict(runs["base"], runs["tree"], specs)
+    print("  sim_digest %s" % ("matched" if len(digests) == 1
+                               and None not in digests else "DIFFERS"))
+    for row in rows:
+        print("  %s %-14s base %.6g (IQR %.3g)  tree %.6g  worse %+.1f%% "
+              "(bound %.0f%%)  wins %d/%d"
+              % ("ok  " if row["ok"] else "FAIL", row["name"], row["base"],
+                 row["base_iqr"], row["tree"], 100 * row["worse"],
+                 100 * row["bound"], row["wins"], row["pairs"]))
+    return ["%s: %s" % (workload, f) for f in failures]
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline",
-                        help="committed BENCH_micro.json")
-    parser.add_argument("--candidate",
-                        help="freshly generated BENCH_micro.json")
-    parser.add_argument("--tolerance", type=float, default=0.15,
-                        help="allowed fractional regression (default 0.15)")
-    parser.add_argument("--min-clustered-speedup", type=float, default=1.8,
-                        help="hard floor for clustered speedup vs the "
-                             "4-ary heap (default 1.8)")
-    parser.add_argument("--fleet-sweep",
-                        help="BENCH_sweep.json from bench/fleet_scale; "
-                             "enables the fleet events/sec floor")
-    parser.add_argument("--fleet-prefix", default="fleet_t1024",
-                        help="per-scenario name prefix the fleet floor "
-                             "applies to (default fleet_t1024)")
-    parser.add_argument("--min-fleet-events-per-sec", type=float,
-                        default=50000.0,
-                        help="hard events/sec floor for each matching "
-                             "fleet scenario (default 50000)")
+    parser = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="\n".join(__doc__.splitlines()[2:]))
+    parser.add_argument("--base", required=True, type=Path,
+                        help="checkout of the commit to compare against")
+    parser.add_argument("--pairs", required=True, type=int,
+                        help="runs per side and workload (>= 1)")
     args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    if not (args.base / "perfbench" / "run.py").is_file():
+        parser.error("--base %s has no perfbench/run.py" % args.base)
 
-    if bool(args.baseline) != bool(args.candidate):
-        parser.error("--baseline and --candidate must be given together")
-    if not args.baseline and not args.fleet_sweep:
-        parser.error("nothing to gate: pass --baseline/--candidate "
-                     "and/or --fleet-sweep")
-
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     failures = []
-    skipped = []
-
-    baseline = {}
-    candidate = {}
-    if args.baseline:
-        with open(args.baseline) as f:
-            baseline = json.load(f)
-        with open(args.candidate) as f:
-            candidate = json.load(f)
-
-    for dotted, higher_is_better in (RELATIVE_METRICS if args.baseline
-                                     else []):
-        base = lookup(baseline, dotted)
-        cand = lookup(candidate, dotted)
-        if base is None or cand is None:
-            skipped.append(dotted)
-            continue
-        if higher_is_better:
-            floor = base * (1.0 - args.tolerance)
-            ok = cand >= floor
-            direction = ">="
-            bound = floor
-        else:
-            ceil = base * (1.0 + args.tolerance)
-            ok = cand <= ceil
-            direction = "<="
-            bound = ceil
-        status = "ok  " if ok else "FAIL"
-        print(f"{status} {dotted}: baseline {base:.3f}, "
-              f"candidate {cand:.3f} (need {direction} {bound:.3f})")
-        if not ok:
-            failures.append(dotted)
-
-    alloc_counting = candidate.get("alloc_counting", False) and \
-        baseline.get("alloc_counting", False)
-    for dotted in ALLOC_METRICS if args.baseline else []:
-        base = lookup(baseline, dotted)
-        cand = lookup(candidate, dotted)
-        if not alloc_counting or base is None or cand is None:
-            skipped.append(dotted)
-            continue
-        ceil = base + ALLOC_SLACK
-        ok = cand <= ceil
-        status = "ok  " if ok else "FAIL"
-        print(f"{status} {dotted}: baseline {base:.6f}, "
-              f"candidate {cand:.6f} (need <= {ceil:.6f})")
-        if not ok:
-            failures.append(dotted)
-
-    if args.baseline:
-        clustered = lookup(candidate,
-                           "event_queue_horizons.clustered.speedup_vs_heap")
-        if clustered is None:
-            skipped.append("clustered speedup floor")
-        else:
-            ok = clustered >= args.min_clustered_speedup
-            status = "ok  " if ok else "FAIL"
-            print(f"{status} clustered speedup floor: {clustered:.3f} "
-                  f"(need >= {args.min_clustered_speedup:.3f})")
-            if not ok:
-                failures.append("clustered speedup floor")
-
-    if args.fleet_sweep:
-        with open(args.fleet_sweep) as f:
-            sweep = json.load(f)
-        matched = [p for p in sweep.get("per_scenario", [])
-                   if p.get("name", "").startswith(args.fleet_prefix)]
-        if not matched:
-            print(f"FAIL fleet floor: no per_scenario entries match "
-                  f"prefix '{args.fleet_prefix}' in {args.fleet_sweep}")
-            failures.append("fleet scenarios present")
-        for prof in matched:
-            name = prof["name"]
-            eps = prof.get("events_per_sec", 0)
-            ok = eps >= args.min_fleet_events_per_sec
-            status = "ok  " if ok else "FAIL"
-            print(f"{status} fleet events/sec floor: {name} {eps:.0f} "
-                  f"(need >= {args.min_fleet_events_per_sec:.0f})")
-            if not ok:
-                failures.append(f"fleet floor {name}")
-
-    for dotted in skipped:
-        print(f"skip {dotted}: missing in baseline or candidate")
-
+    for workload in bench["workloads"]:
+        print("%s (%d pairs, %d s, seed %d)"
+              % (workload["name"], args.pairs, bench["run_seconds"], SEED),
+              flush=True)
+        failures += gate_workload(args.base.resolve(), workload["name"],
+                                  bench["run_seconds"], args.pairs,
+                                  bench["end_to_end"])
     if failures:
-        print(f"\nperf gate FAILED: {len(failures)} metric(s) regressed "
-              f"beyond tolerance: {', '.join(failures)}", file=sys.stderr)
+        print("\nperf gate FAILED:\n  " + "\n  ".join(failures))
         return 1
     print("\nperf gate passed")
     return 0
