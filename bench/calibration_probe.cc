@@ -31,19 +31,16 @@ main(int argc, char **argv)
 
     // Every probe is an independent simulation returning one double.
     auto lcP99 = [&opts](Knob knob, uint32_t apps) {
-        // isol: parallel
         return [&opts, knob, apps] {
             return runLcScaling(knob, apps, opts).p99_us;
         };
     };
     auto lcCpu = [&opts](Knob knob, uint32_t apps) {
-        // isol: parallel
         return [&opts, knob, apps] {
             return runLcScaling(knob, apps, opts).cpu_util;
         };
     };
     auto batchGibs = [&opts](Knob knob, uint32_t apps, uint32_t ssds) {
-        // isol: parallel
         return [&opts, knob, apps, ssds] {
             return runBatchScaling(knob, apps, ssds, opts).agg_gibs;
         };

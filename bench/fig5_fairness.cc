@@ -46,7 +46,6 @@ runPanel(const char *title, bool weighted,
             grid.push_back({cgroups, knob});
     }
 
-    // isol: parallel
     std::vector<FairnessResult> results = sweep::map<FairnessResult>(
         grid.size(), [&grid, &opts, weighted](size_t i) {
             return runFairness(grid[i].knob, grid[i].cgroups, weighted,

@@ -189,7 +189,6 @@ main(int argc, char **argv)
     std::printf("Fleet-scale hierarchical cgroup stress: "
                 "8 pods, heterogeneous tenants, one adversary per pod\n");
 
-    // isol: parallel
     std::vector<FleetResult> results = sweep::map<FleetResult>(
         grid.size(), [&grid, duration, warmup](size_t i) {
             return runFleetPoint(grid[i], duration, warmup);

@@ -244,7 +244,6 @@ BM_SweepFanout(benchmark::State &state)
 {
     uint64_t events = 0;
     for (auto _ : state) {
-        // isol: parallel
         auto per_run = isolbench::sweep::map<uint64_t>(
             8, [](size_t i) { return runMiniScenario(i + 1); });
         for (uint64_t e : per_run)

@@ -80,7 +80,6 @@ main(int argc, char **argv)
 
     // Baselines from the no-knob configuration: P99 latency of one
     // LC-app and single-SSD batch bandwidth.
-    // isol: parallel
     const std::vector<double> baselines =
         sweep::map<double>(2, [&](size_t i) {
             return i == 0 ? runLcScaling(Knob::kNone, 1, d1).p99_us
@@ -119,7 +118,6 @@ main(int argc, char **argv)
     // Each knob's verdicts come from an independent batch of runs, so
     // the five rows evaluate concurrently; the table is assembled from
     // the collected verdicts in row order.
-    // isol: parallel
     std::vector<Verdicts> verdicts =
         sweep::map<Verdicts>(rows.size(), [&](size_t row_idx) {
         Knob knob = rows[row_idx].knob;

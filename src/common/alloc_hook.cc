@@ -8,11 +8,8 @@ namespace isol::common
 
 namespace
 {
-// Thread-local so parallel sweep workers never contend or race; the
-// linter's mutable-static rule exists to keep *simulation* results off
-// shared state, which pure diagnostics counters cannot affect.
-// isol-lint: allow(D4): thread-local diagnostics counters; never read
-// by simulation code
+// Thread-local so parallel sweep workers never contend or race; pure
+// diagnostics counters, never read by simulation code.
 thread_local AllocCounters t_counters;
 } // namespace
 

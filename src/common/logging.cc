@@ -8,8 +8,8 @@ namespace isol
 
 namespace
 {
-// isol-lint: allow(D4): process-wide log threshold; set once at startup
-// (CLI flag) and read-only during runs, per DESIGN.md §7
+// Process-wide log threshold; set once at startup (CLI flag) and
+// read-only during runs, per DESIGN.md §7.
 LogLevel g_level = LogLevel::kWarn;
 
 const char *

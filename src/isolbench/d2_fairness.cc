@@ -110,7 +110,6 @@ runFairness(Knob knob, uint32_t cgroups, bool weighted, FairnessMix mix,
     // the floating-point results identical to a sequential run. A
     // failed repeat fails the whole point: partial repeat statistics
     // would silently skew the std-devs.
-    // isol: parallel
     std::vector<RepeatResult> reps = sweep::map<RepeatResult>(
         opts.repeats, [&](size_t rep) {
         ScenarioConfig cfg;

@@ -201,7 +201,6 @@ runTradeoffSweep(Knob knob, PriorityAppKind kind, BeWorkload be,
 
     // Each configuration is an independent simulation; fan the grid out
     // across the sweep pool, results landing in config order.
-    // isol: parallel
     return sweep::map<TradeoffPoint>(settings.size(), [&](size_t idx) {
         const KnobSetting &setting = settings[idx];
         ScenarioConfig cfg;

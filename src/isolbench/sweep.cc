@@ -20,14 +20,12 @@ namespace
 // state in src/: it coordinates workers, collects profiles, is
 // mutex/atomic-protected, and never feeds simulated decisions.
 
-/** CLI/bench override; 0 = resolve automatically. */
-// isol-lint: allow(D4): engine-wide --jobs override, atomic, never read
-// by simulation code
+/** CLI/bench override; 0 = resolve automatically. Never read by
+ *  simulation code. */
 std::atomic<uint32_t> g_jobs_override{0};
 
-/** Set while executing inside a pool worker: nested sweeps go inline. */
-// isol-lint: allow(D4): marks pool threads so nested sweeps degrade to
-// inline execution; per-thread control flow, not simulation state
+/** Set while executing inside a pool worker: nested sweeps go inline.
+ *  Per-thread control flow, not simulation state. */
 thread_local bool t_in_worker = false;
 
 uint32_t
@@ -66,10 +64,9 @@ failureSummary(const std::vector<TaskFailure> &failures)
     return msg;
 }
 
-// isol-lint: allow(D4): protects the profile summary below
-std::mutex g_profile_mutex;
-// isol-lint: allow(D4): profiling sink (stderr only); every field folds
-// commutatively, so completion order does not matter
+std::mutex g_profile_mutex; //!< protects the profile summary below
+// Profiling sink (stderr only); every field folds commutatively, so
+// completion order does not matter.
 ProfileSummary g_summary;
 
 } // namespace

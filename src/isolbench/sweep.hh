@@ -99,7 +99,6 @@ map(size_t n, Fn fn, uint32_t jobs = 0)
     std::vector<std::function<void()>> tasks;
     tasks.reserve(n);
     for (size_t i = 0; i < n; ++i)
-        // isol: parallel
         tasks.push_back([&out, fn, i] { out[i] = fn(i); });
     run(std::move(tasks), jobs);
     return out;

@@ -12,9 +12,9 @@ namespace isol::sim
 namespace
 {
 
-// isol-lint: allow(D4): process-wide opt-in flag resolved once from the
-// environment / CLI before any scenario is built; never flipped
-// mid-sweep, so it cannot make two runs of one scenario diverge
+// Process-wide opt-in flag resolved once from the environment / CLI
+// before any scenario is built; never flipped mid-sweep, so it cannot
+// make two runs of one scenario diverge.
 std::atomic<int> g_check_default{-1};
 
 } // namespace

@@ -94,7 +94,6 @@ TEST(Adversary, EveryKindIsDeterministicAcrossPoolWidths)
 {
     auto runAll = [](uint32_t jobs) {
         size_t n = std::size(workload::kAllAdversaries);
-        // isol: parallel
         return sweep::map<std::string>(
             n,
             [](size_t i) {

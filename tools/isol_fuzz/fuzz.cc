@@ -207,7 +207,7 @@ runCampaign(const FuzzOptions &opts)
     }
 
     // Pass 1+2: every seed twice, same thread, back to back — catches
-    // leaked process-global state (rule D4 escapes).
+    // leaked process-global state (a mutable global or static).
     std::vector<ScenarioOutcome> first(opts.seeds);
     std::vector<ScenarioOutcome> second(opts.seeds);
     for (uint64_t i = 0; i < opts.seeds; ++i) {
@@ -217,7 +217,6 @@ runCampaign(const FuzzOptions &opts)
 
     // Pass 3: the whole corpus through the parallel sweep pool — catches
     // cross-thread interference and pool-order dependence.
-    // isol: parallel
     std::vector<ScenarioOutcome> pooled =
         isolbench::sweep::map<ScenarioOutcome>(
             opts.seeds,

@@ -3,7 +3,7 @@
  * Hand-rolled C++ lexer for isol-lint.
  *
  * Produces identifiers, numbers, string/char literals, punctuation, and
- * comments with line/offset information. Preprocessor directives are
+ * comments with line information. Preprocessor directives are
  * consumed without emitting tokens (their text — include paths, macro
  * bodies on one logical line — would only confuse the rules).
  */
@@ -94,7 +94,7 @@ tokenize(const std::string &src)
             while (i < n && src[i] != '\n')
                 ++i;
             out.push_back({TokKind::kComment, src.substr(start, i - start),
-                           line, start});
+                           line});
             continue;
         }
         // Block comment.
@@ -110,7 +110,7 @@ tokenize(const std::string &src)
             if (i < n)
                 i += 2;
             out.push_back({TokKind::kComment, src.substr(start, i - start),
-                           start_line, start});
+                           start_line});
             continue;
         }
 
@@ -134,7 +134,7 @@ tokenize(const std::string &src)
                 i = end + close.size();
             }
             out.push_back({TokKind::kString, src.substr(start, i - start),
-                           start_line, start});
+                           start_line});
             continue;
         }
 
@@ -152,7 +152,7 @@ tokenize(const std::string &src)
             if (i < n)
                 ++i;
             out.push_back({c == '"' ? TokKind::kString : TokKind::kChar,
-                           src.substr(start, i - start), line, start});
+                           src.substr(start, i - start), line});
             continue;
         }
 
@@ -162,7 +162,7 @@ tokenize(const std::string &src)
             while (i < n && isIdentChar(src[i]))
                 ++i;
             out.push_back({TokKind::kIdent, src.substr(start, i - start),
-                           line, start});
+                           line});
             continue;
         }
 
@@ -177,7 +177,7 @@ tokenize(const std::string &src)
                       src[i - 1] == 'p' || src[i - 1] == 'P'))))
                 ++i;
             out.push_back({TokKind::kNumber, src.substr(start, i - start),
-                           line, start});
+                           line});
             continue;
         }
 
@@ -187,7 +187,7 @@ tokenize(const std::string &src)
             bool merged = false;
             for (const char *op : kTwoCharPuncts) {
                 if (two == op) {
-                    out.push_back({TokKind::kPunct, two, line, i});
+                    out.push_back({TokKind::kPunct, two, line});
                     i += 2;
                     merged = true;
                     break;
@@ -196,7 +196,7 @@ tokenize(const std::string &src)
             if (merged)
                 continue;
         }
-        out.push_back({TokKind::kPunct, std::string(1, c), line, i});
+        out.push_back({TokKind::kPunct, std::string(1, c), line});
         ++i;
     }
     return out;

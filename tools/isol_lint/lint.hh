@@ -15,17 +15,16 @@
  *       (std::chrono clocks, time(), rand(), std::random_device, ...).
  *   D3  pointer-value ordering comparisons inside comparators
  *       (sort keys built from addresses reorder across runs).
- *   D4  mutable namespace-scope or static state in src/ (breaks the
- *       shared-nothing contract of the parallel sweep workers).
- *   D5  float/double accumulation into state declared outside a
- *       `// isol: parallel` region (summation order then depends on
- *       worker scheduling; fold per-index partials afterwards).
+ *
+ * No runtime check catches these three. Mutable global state and
+ * unordered float folds across sweep workers are caught at runtime
+ * instead (isol_fuzz reruns, the --jobs determinism tests, TSan), so
+ * they have no rule; DESIGN.md §8 maps each hazard to its check.
  *
  * Capture safety (P):
  *   P2  deferred callbacks (arguments to at/after/schedule/defer/post)
- *       under src/ or inside a `// isol: parallel` region that
- *       default-capture by reference: the callback outlives the frame
- *       that scheduled it, so every local it names dangles.
+ *       that default-capture by reference: the callback outlives the
+ *       frame that scheduled it, so every local it names dangles.
  *
  * Unit safety (U) — silent-corruption unit mixups:
  *   U1  raw non-zero integer literals flowing into SimTime-typed
@@ -34,14 +33,11 @@
  *       identifier and the parameter it binds to (`_us` into `_ns`,
  *       `_bytes` into `_sectors`, ... across the blk/ssd boundary).
  *
- * `// isol: parallel` marks the next brace block as running on sweep
- * workers (D5 and P2 read it).
- *
  * Findings are suppressed with `// isol-lint: allow(D2): reason` on the
  * offending line, or on a line of its own above it (a stand-alone
  * suppression covers everything through the next line containing code,
  * so multi-line justifications work). Suppressions that no longer
- * match any finding are reported by --report-unused-suppressions.
+ * match any finding are reported as stale and fail the run.
  *
  * The checker is heuristic by design: it tokenizes real C++ (comments,
  * strings, raw strings, preprocessor lines) but does not build an AST,
@@ -75,13 +71,11 @@ struct Token
     TokKind kind;
     std::string text;
     int line = 0; //!< 1-based line of the token's first character
-    size_t offset = 0; //!< byte offset into the source
 };
 
 /**
- * Tokenize C++ source. Comments are kept (the parallel marker and
- * suppression handling read them); preprocessor lines are skipped
- * entirely.
+ * Tokenize C++ source. Comments are kept (suppression handling reads
+ * them); preprocessor lines are skipped entirely.
  */
 std::vector<Token> tokenize(const std::string &source);
 
@@ -90,12 +84,12 @@ struct Finding
 {
     std::string file;
     int line = 0;
-    std::string rule; //!< "D1".."D5", "P2", "U1"
+    std::string rule; //!< "D1".."D3", "P2", "U1"
     std::string message;
     std::string hint; //!< fix-it guidance
 };
 
-/** A file to lint: `path` drives rule scoping, `content` is the text. */
+/** A file to lint: `path` names it in findings, `content` is the text. */
 struct FileInput
 {
     std::string path;
@@ -118,10 +112,8 @@ struct LintResult
  *  - U1: function signatures with SimTime-typed or unit-suffixed
  *    parameters collected set-wide are matched against call sites.
  *
- * Path scoping: D4 only fires for paths containing a `src/` component,
- * P2 for those paths plus `// isol: parallel` regions elsewhere; D2
- * exempts paths ending in `common/rng.hh`; everything else applies to
- * all inputs.
+ * Every rule applies to every input, except that D2 exempts paths
+ * ending in `common/rng.hh`.
  */
 LintResult lintFiles(const std::vector<FileInput> &files);
 
@@ -133,7 +125,7 @@ struct RuleInfo
     const char *hint;
 };
 
-/** All rules, in id order (D1..D5, P2, U1). */
+/** All rules, in id order (D1..D3, P2, U1). */
 const std::vector<RuleInfo> &ruleTable();
 
 } // namespace isol_lint

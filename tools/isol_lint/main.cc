@@ -4,17 +4,16 @@
  * capture-safety (P), and unit-safety (U) hazards — see lint.hh.
  *
  * Usage:
- *   isol_lint [--root DIR] [--report-unused-suppressions]
- *             [--github] [--verbose] [--list-rules] [file...]
+ *   isol_lint [--root DIR] [--github] [--verbose] [--list-rules]
+ *             [file...]
  *
  * With explicit files, lints exactly those. Otherwise walks
  * <root>/{src,bench,tools} for *.cc / *.hh, skipping the known-bad
  * fixture corpus under tools/isol_lint/fixtures/.
  *
- * Exit status: 0 when clean, 1 on any unsuppressed finding (or, with
- * --report-unused-suppressions, on any stale allow() comment), 2 on
- * usage or I/O errors. `--github` switches to GitHub Actions
- * annotation format (`::error file=...`) for CI.
+ * Exit status: 0 when clean, 1 on any unsuppressed finding or stale
+ * allow() comment, 2 on usage or I/O errors. `--github` switches to
+ * GitHub Actions annotation format (`::error file=...`) for CI.
  */
 
 #include <algorithm>
@@ -113,7 +112,6 @@ main(int argc, char **argv)
     fs::path root = ".";
     bool github = false;
     bool verbose = false;
-    bool report_unused = false;
     std::vector<fs::path> explicit_files;
 
     for (int i = 1; i < argc; ++i) {
@@ -130,8 +128,6 @@ main(int argc, char **argv)
             github = true;
         } else if (arg == "--verbose" || arg == "-v") {
             verbose = true;
-        } else if (arg == "--report-unused-suppressions") {
-            report_unused = true;
         } else if (arg == "--root") {
             const char *v = value("--root");
             if (v == nullptr)
@@ -145,10 +141,8 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
-                "usage: isol_lint [--root DIR] "
-                "[--report-unused-suppressions]\n"
-                "                 [--github] [--verbose] [--list-rules] "
-                "[file...]\n");
+                "usage: isol_lint [--root DIR] [--github] [--verbose] "
+                "[--list-rules] [file...]\n");
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "isol_lint: unknown option '%s'\n",
@@ -186,10 +180,8 @@ main(int argc, char **argv)
         for (const Finding &f : result.suppressed)
             printFinding(f, github, "suppressed");
     }
-    if (report_unused) {
-        for (const Finding &f : result.unused_suppressions)
-            printFinding(f, github, "stale-suppression");
-    }
+    for (const Finding &f : result.unused_suppressions)
+        printFinding(f, github, "stale-suppression");
 
     std::fprintf(stderr,
                  "isol_lint: %zu files, %zu findings (%zu suppressed, "
@@ -198,6 +190,6 @@ main(int argc, char **argv)
                  result.suppressed.size(),
                  result.unused_suppressions.size());
     bool failed = !result.findings.empty() ||
-                  (report_unused && !result.unused_suppressions.empty());
+                  !result.unused_suppressions.empty();
     return failed ? 1 : 0;
 }

@@ -4,10 +4,9 @@
  * safety), U (unit safety) over the token stream.
  *
  * The engine runs in three phases:
- *   1. per file: tokenize, extract suppressions and `// isol: parallel`
- *      regions, and collect facts: pointer-keyed container declarations
- *      (D1), mutable namespace-scope/static declarations (D4), and
- *      unit-carrying function signatures (U1);
+ *   1. per file: tokenize, extract suppressions, and collect facts:
+ *      pointer-keyed container declarations (D1) and unit-carrying
+ *      function signatures (U1);
  *   2. global model: the D1 and U1 registries merged across the set;
  *   3. per file: rule checks, merged in input order and sorted.
  */
@@ -43,16 +42,6 @@ const std::vector<RuleInfo> kRules = {
      "pointer-value ordering comparison in a comparator",
      "compare a stable field (id, creation index) instead of the "
      "pointers themselves"},
-    {"D4",
-     "mutable namespace-scope or static state in src/",
-     "make it const/constexpr or move it into per-run state owned by "
-     "the Scenario; sweep-engine infrastructure may allow(D4) with "
-     "justification"},
-    {"D5",
-     "float accumulation into pre-region state inside a parallel region",
-     "collect per-index partial results and fold them after the "
-     "parallel section, in index order (see runFairness in "
-     "src/isolbench/d2_fairness.cc)"},
     {"P2",
      "deferred callback default-captures by reference",
      "capture by value (or [this] for the owning component); a deferred "
@@ -87,30 +76,12 @@ struct Suppression
     bool used = false; //!< matched at least one (suppressed) finding
 };
 
-/**
- * Token range (code-token indexes) of one `// isol: parallel` brace
- * block.
- */
-struct Region
-{
-    size_t begin; //!< index of the opening `{`
-    size_t end; //!< index of the matching `}`
-};
-
 struct FileView
 {
     std::string path;
     std::vector<Token> code; //!< comment-free tokens
     std::vector<Suppression> suppressions;
-    std::vector<Region> regions; //!< `// isol: parallel` blocks
 };
-
-bool
-pathHasSrcComponent(const std::string &path)
-{
-    return path.rfind("src/", 0) == 0 ||
-           path.find("/src/") != std::string::npos;
-}
 
 bool
 pathIsRngHeader(const std::string &path)
@@ -152,14 +123,6 @@ parseAllows(const std::string &text, int first_line, int last_line,
     }
 }
 
-/** True when the comment carries `isol: parallel` (or `isol:parallel`). */
-bool
-hasParallelMarker(const std::string &text)
-{
-    return text.find("isol: parallel") != std::string::npos ||
-           text.find("isol:parallel") != std::string::npos;
-}
-
 FileView
 buildView(const FileInput &input)
 {
@@ -176,7 +139,6 @@ buildView(const FileInput &input)
             code_lines.insert(t.line);
     }
 
-    std::vector<size_t> markers; //!< offsets of parallel markers
     for (const Token &t : all) {
         if (t.kind != TokKind::kComment) {
             view.code.push_back(t);
@@ -201,42 +163,8 @@ buildView(const FileInput &input)
             }
             view.suppressions.push_back(s);
         }
-        if (hasParallelMarker(t.text))
-            markers.push_back(t.offset);
-    }
-
-    // Resolve each marker to the brace block opened by the next `{`
-    // after the marker (annotate the worker lambda, marker above or on
-    // the line before its opening brace).
-    for (size_t marker : markers) {
-        size_t i = 0;
-        while (i < view.code.size() &&
-               !(view.code[i].offset > marker &&
-                 view.code[i].text == "{"))
-            ++i;
-        if (i >= view.code.size())
-            continue;
-        int depth = 0;
-        size_t j = i;
-        for (; j < view.code.size(); ++j) {
-            if (view.code[j].text == "{")
-                ++depth;
-            else if (view.code[j].text == "}" && --depth == 0)
-                break;
-        }
-        view.regions.push_back({i, std::min(j, view.code.size() - 1)});
     }
     return view;
-}
-
-bool
-insideParallelRegion(const FileView &view, size_t idx)
-{
-    for (const Region &r : view.regions) {
-        if (idx > r.begin && idx < r.end)
-            return true;
-    }
-    return false;
 }
 
 // --- Shared token helpers ---------------------------------------------
@@ -380,15 +308,6 @@ struct ContainerDecl
     int line;
 };
 
-/** One mutable namespace-scope / static declaration (D4). */
-struct MutableDecl
-{
-    std::string name;
-    int line = 0;
-    bool namespace_scope = false;
-    bool thread_local_ = false;
-};
-
 /** U1 registry: one collected function signature. */
 struct Signature
 {
@@ -405,7 +324,6 @@ struct FileFacts
     std::vector<ContainerDecl> d1_decls;
     std::vector<std::pair<int, std::string>> d1_decl_findings;
     std::set<std::string> benign_names;
-    std::vector<MutableDecl> mutable_decls;
     std::map<std::string, std::vector<Signature>> signatures;
 };
 
@@ -725,297 +643,15 @@ checkD3(FileView &view, FileResult &out)
     }
 }
 
-// --- D4 fact collection: mutable global & static state ---------------
-
-/**
- * Scan a file for mutable namespace-scope or static/thread_local
- * declarations. D4 emits them (src/ only).
- */
-std::vector<MutableDecl>
-collectMutableDecls(const FileView &view)
-{
-    std::vector<MutableDecl> out;
-    const std::vector<Token> &code = view.code;
-
-    enum class ScopeKind { kNamespace, kClass, kFunction };
-    std::vector<ScopeKind> scopes;
-    static const std::set<std::string> kScopeClassKw = {"class", "struct",
-                                                       "union", "enum"};
-    static const std::set<std::string> kSkipLeads = {
-        "using", "typedef", "template", "friend", "extern",
-        "static_assert", "namespace", "class", "struct", "enum", "union",
-        "concept", "public", "private", "protected", "return", "if",
-        "for", "while", "switch", "do", "goto", "case", "default",
-        "break", "continue", "throw", "delete"};
-
-    auto atNamespaceScope = [&] {
-        for (ScopeKind s : scopes) {
-            if (s != ScopeKind::kNamespace)
-                return false;
-        }
-        return true;
-    };
-
-    auto evalStatement = [&](size_t begin, size_t end) {
-        if (begin >= end)
-            return;
-        const Token &first = code[begin];
-        if (first.kind != TokKind::kIdent &&
-            !(first.kind == TokKind::kPunct && first.text == "*"))
-            return;
-        if (kSkipLeads.count(first.text) != 0)
-            return;
-
-        bool has_static = false;
-        bool has_thread_local = false;
-        bool has_const = false;
-        bool has_operator = false;
-        size_t first_assign = end;
-        for (size_t k = begin; k < end; ++k) {
-            const std::string &t = code[k].text;
-            if (t == "static")
-                has_static = true;
-            else if (t == "thread_local")
-                has_thread_local = true;
-            else if (t == "const" || t == "constexpr" || t == "consteval")
-                has_const = true;
-            else if (t == "operator")
-                has_operator = true;
-            else if (t == "=" && first_assign == end)
-                first_assign = k;
-        }
-        if (has_const || has_operator)
-            return;
-        for (size_t k = begin; k < first_assign; ++k) {
-            if (code[k].text == "(")
-                return; // function declaration / definition
-        }
-
-        ScopeKind scope = scopes.empty() ? ScopeKind::kNamespace
-                                         : scopes.back();
-        bool namespace_scope =
-            scopes.empty() ||
-            (scope == ScopeKind::kNamespace && atNamespaceScope());
-        bool flagged = false;
-        if (namespace_scope)
-            flagged = true; // any mutable namespace-scope variable
-        else if (has_static || has_thread_local)
-            flagged = true; // static member / function-local static
-        if (!flagged)
-            return;
-
-        // Declared name: identifier right before `=`, `{`, `[` or `;`.
-        std::string name;
-        for (size_t k = begin; k < end; ++k) {
-            const std::string &t = code[k].text;
-            if ((t == "=" || t == "{" || t == "[" || t == ";") && k > begin &&
-                code[k - 1].kind == TokKind::kIdent) {
-                name = code[k - 1].text;
-                break;
-            }
-        }
-        if (name.empty()) {
-            if (code[end - 1].kind != TokKind::kIdent)
-                return;
-            name = code[end - 1].text;
-        }
-        out.push_back({name, first.line, namespace_scope,
-                       has_thread_local});
-    };
-
-    size_t stmt_start = 0;
-    for (size_t i = 0; i < code.size(); ++i) {
-        const std::string &t = code[i].text;
-        if (t == "{") {
-            // Classify the block from the statement tokens before it.
-            bool kw_namespace = false;
-            bool kw_class = false;
-            bool has_paren = false;
-            for (size_t k = stmt_start; k < i; ++k) {
-                if (isIdent(code[k], "namespace"))
-                    kw_namespace = true;
-                else if (code[k].kind == TokKind::kIdent &&
-                         kScopeClassKw.count(code[k].text) != 0)
-                    kw_class = true;
-                else if (code[k].text == "(" || code[k].text == ")")
-                    has_paren = true;
-            }
-            const std::string prev =
-                i > stmt_start ? code[i - 1].text : std::string();
-            if (kw_namespace) {
-                scopes.push_back(ScopeKind::kNamespace);
-                stmt_start = i + 1;
-            } else if (kw_class && !has_paren) {
-                scopes.push_back(ScopeKind::kClass);
-                stmt_start = i + 1;
-            } else if (has_paren) {
-                scopes.push_back(ScopeKind::kFunction);
-                stmt_start = i + 1;
-            } else if (!prev.empty() &&
-                       (code[i - 1].kind == TokKind::kIdent || prev == "=" ||
-                        prev == "," || prev == ">")) {
-                // Brace initializer `Type name{...}`: stay in the
-                // statement, skip to the matching close.
-                size_t close = matchForward(code, i, "{", "}");
-                if (close == std::string::npos)
-                    break;
-                i = close;
-            } else {
-                scopes.push_back(ScopeKind::kFunction);
-                stmt_start = i + 1;
-            }
-        } else if (t == "}") {
-            if (!scopes.empty())
-                scopes.pop_back();
-            stmt_start = i + 1;
-        } else if (t == ";") {
-            evalStatement(stmt_start, i);
-            stmt_start = i + 1;
-        }
-    }
-    return out;
-}
-
-void
-checkD4(FileView &view, const std::vector<MutableDecl> &decls,
-        FileResult &out)
-{
-    if (!pathHasSrcComponent(view.path))
-        return;
-    for (const MutableDecl &d : decls) {
-        const char *what = d.namespace_scope
-                               ? "mutable namespace-scope state"
-                               : (d.thread_local_
-                                      ? "mutable thread_local state"
-                                      : "mutable static state");
-        emit(out, view, d.line, "D4",
-             std::string(what) + " '" + d.name +
-                 "' breaks shared-nothing sweep workers");
-    }
-}
-
-// --- D5: order-dependent accumulation --------------------------------
-
-/** Float/double variable declarations, by name -> decl token indexes. */
-std::map<std::string, std::vector<size_t>>
-collectFloatDecls(const FileView &view)
-{
-    std::map<std::string, std::vector<size_t>> fp_decls;
-    const std::vector<Token> &code = view.code;
-    for (size_t i = 0; i + 1 < code.size(); ++i) {
-        if (!isIdent(code[i], "double") && !isIdent(code[i], "float"))
-            continue;
-        if (code[i + 1].kind != TokKind::kIdent)
-            continue;
-        if (i + 2 < code.size() && code[i + 2].text == "(")
-            continue; // function returning double
-        fp_decls[code[i + 1].text].push_back(i);
-    }
-    return fp_decls;
-}
-
-/**
- * Walk back from the compound-assignment / call token at `i` to the
- * root identifier of the target expression (`total`, `this->total`,
- * `acc.sum`, `slots[i].v`, ...). Returns "" when there is none.
- */
-std::string
-rootIdentifierBefore(const std::vector<Token> &code, size_t i,
-                     size_t floor)
-{
-    size_t j = i;
-    std::string root;
-    while (j > floor) {
-        --j;
-        const std::string &t = code[j].text;
-        if (t == "]" || t == ")") {
-            const char *opn = t == "]" ? "[" : "(";
-            int d = 0;
-            while (j > floor) {
-                if (code[j].text == t)
-                    ++d;
-                else if (code[j].text == opn && --d == 0)
-                    break;
-                --j;
-            }
-            continue;
-        }
-        if (code[j].kind == TokKind::kIdent) {
-            root = code[j].text;
-            if (j > floor + 1 &&
-                (code[j - 1].text == "." || code[j - 1].text == "->" ||
-                 code[j - 1].text == "::")) {
-                --j;
-                continue;
-            }
-            break;
-        }
-        break;
-    }
-    return root;
-}
-
-/** True when `name` is declared in `decls` before the region starts
- *  and not re-declared inside the region before token `use`. */
-bool
-declaredOutsideRegion(const std::map<std::string, std::vector<size_t>> &decls,
-                      const std::string &name, const Region &region,
-                      size_t use)
-{
-    auto it = decls.find(name);
-    if (it == decls.end())
-        return false;
-    bool before = false;
-    bool inside = false;
-    for (size_t decl : it->second) {
-        if (decl < region.begin)
-            before = true;
-        else if (decl > region.begin && decl < use)
-            inside = true;
-    }
-    return before && !inside;
-}
-
-void
-checkD5(FileView &view, FileResult &out)
-{
-    if (view.regions.empty())
-        return;
-    const std::vector<Token> &code = view.code;
-    std::map<std::string, std::vector<size_t>> fp_decls =
-        collectFloatDecls(view);
-    if (fp_decls.empty())
-        return;
-
-    static const std::set<std::string> kAccum = {"+=", "-=", "*=", "/="};
-    for (const Region &region : view.regions) {
-        for (size_t i = region.begin + 1; i < region.end; ++i) {
-            if (kAccum.count(code[i].text) == 0)
-                continue;
-            std::string root =
-                rootIdentifierBefore(code, i, region.begin);
-            if (root.empty() ||
-                !declaredOutsideRegion(fp_decls, root, region, i))
-                continue;
-            emit(out, view, code[i].line, "D5",
-                 "floating-point accumulation into '" + root +
-                     "' declared outside the parallel region: summation "
-                     "order depends on worker scheduling");
-        }
-    }
-}
-
 // --- P2: default by-reference captures in deferred callbacks ---------
 
 /**
  * Flag a lambda argument of at/after/schedule/defer/post whose capture
- * list holds a bare `&` (default capture by reference). Applies under
- * src/ and inside `// isol: parallel` regions elsewhere.
+ * list holds a bare `&` (default capture by reference).
  */
 void
 checkP2(FileView &view, FileResult &out)
 {
-    const bool in_src = pathHasSrcComponent(view.path);
     const std::vector<Token> &code = view.code;
     static const std::set<std::string> kSinks = {"at", "after",
                                                  "schedule", "defer",
@@ -1026,8 +662,6 @@ checkP2(FileView &view, FileResult &out)
             continue;
         if (i > 0 && code[i - 1].kind == TokKind::kIdent)
             continue; // declaration of a function with a sink name
-        if (!in_src && !insideParallelRegion(view, i))
-            continue;
         for (const auto &[begin, end] : splitTopLevel(code, i + 1, nullptr)) {
             if (begin >= end || code[begin].text != "[")
                 continue; // not a lambda argument
@@ -1239,7 +873,6 @@ lintFiles(const std::vector<FileInput> &files)
         views[i] = buildView(files[i]);
         collectPointerKeyedContainers(views[i], facts[i]);
         collectBenignContainerNames(views[i], facts[i].benign_names);
-        facts[i].mutable_decls = collectMutableDecls(views[i]);
         collectSignatures(views[i], facts[i]);
     }
 
@@ -1265,8 +898,6 @@ lintFiles(const std::vector<FileInput> &files)
         checkD1Iteration(view, model, out);
         checkD2(view, out);
         checkD3(view, out);
-        checkD4(view, facts[i].mutable_decls, out);
-        checkD5(view, out);
         checkP2(view, out);
         checkU1(view, model, out);
 

@@ -47,6 +47,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -130,35 +131,43 @@ parseKnob(const std::string &text)
     return std::nullopt;
 }
 
+/**
+ * Parse one `--app` spec. `class=` picks the preset the other fields
+ * override, so it applies first wherever it appears. The duration stays
+ * 0 ("until the end of the run") unless `dur=` sets it, so `--duration`
+ * counts wherever it sits on the command line.
+ */
 AppArg
-parseApp(const std::string &text, SimTime default_duration)
+parseApp(const std::string &text)
 {
-    AppArg app;
-    app.spec = workload::batchApp("app", default_duration);
-    bool class_set = false;
+    std::vector<std::pair<std::string, std::string>> fields;
     for (const std::string &field : splitString(text, ',')) {
-        std::string key = field;
-        std::string value;
         size_t eq = field.find('=');
-        if (eq != std::string::npos) {
-            key = field.substr(0, eq);
-            value = field.substr(eq + 1);
-        }
+        if (eq == std::string::npos)
+            fields.emplace_back(field, "");
+        else
+            fields.emplace_back(field.substr(0, eq), field.substr(eq + 1));
+    }
+
+    AppArg app;
+    app.spec = workload::batchApp("app", 0);
+    for (const auto &[key, value] : fields) {
+        if (key != "class")
+            continue;
+        if (value == "lc")
+            app.spec = workload::lcApp("app", 0);
+        else if (value == "batch")
+            app.spec = workload::batchApp("app", 0);
+        else if (value == "be")
+            app.spec = workload::beApp("app", 0);
+        else
+            usageError("unknown app class '" + value + "'");
+    }
+    for (const auto &[key, value] : fields) {
         if (key == "name") {
             app.spec.name = value;
         } else if (key == "class") {
-            class_set = true;
-            if (value == "lc")
-                app.spec = workload::lcApp(app.spec.name,
-                                           default_duration);
-            else if (value == "batch")
-                app.spec = workload::batchApp(app.spec.name,
-                                              default_duration);
-            else if (value == "be")
-                app.spec = workload::beApp(app.spec.name,
-                                           default_duration);
-            else
-                usageError("unknown app class '" + value + "'");
+            // Applied above, before every other field.
         } else if (key == "cgroup") {
             app.cgroup = value;
         } else if (key == "qd") {
@@ -208,7 +217,6 @@ parseApp(const std::string &text, SimTime default_duration)
             usageError("unknown app field '" + key + "'");
         }
     }
-    (void)class_set;
     return app;
 }
 
@@ -314,9 +322,7 @@ main(int argc, char **argv)
         } else if (arg == "--check-invariants") {
             cfg.check_invariants = true;
         } else if (arg == "--app") {
-            apps.push_back(parseApp(next_value(i, "--app"),
-                                    cfg.duration - cfg.warmup +
-                                        cfg.warmup));
+            apps.push_back(parseApp(next_value(i, "--app")));
         } else if (arg == "--set") {
             writes.push_back(parseSet(next_value(i, "--set")));
         } else if (arg == "--csv") {
@@ -345,6 +351,10 @@ main(int argc, char **argv)
                 workload::JobSpec spec = app.spec;
                 if (app.count > 1)
                     spec.name = strCat(spec.name, c);
+                if (spec.start_time >= cfg.duration) {
+                    usageError("app '" + spec.name +
+                               "' starts at or after --duration");
+                }
                 if (spec.duration == 0 ||
                     spec.start_time + spec.duration > cfg.duration) {
                     spec.duration = cfg.duration - spec.start_time;

@@ -3,12 +3,15 @@
 #   1. ASan+UBSan build: quickstart example + fault-injected CLI
 #      scenario (the `smoke` target), an isol_lint pass over the tree
 #      (so the lint tool itself runs sanitized), a short isol_fuzz
-#      campaign with runtime invariants on, and the D5 degraded-tenant
-#      study with ISOL_CHECK_INVARIANTS=1 — faults, adversaries and the
-#      invariant hooks all under the sanitizer.
-#   2. TSan build: the sweep-engine determinism tests and the fig5
-#      bench with 4 worker threads, the configuration that exercises
-#      the shared-nothing worker pool hardest.
+#      campaign with runtime invariants on, and the degraded-tenant
+#      study (desideratum D5) with ISOL_CHECK_INVARIANTS=1 — faults,
+#      adversaries and the invariant hooks all under the sanitizer.
+#   2. TSan build: the sweep-engine determinism tests and every
+#      sweep::map caller (the quick fig5, fig7, table1 and calibration
+#      benches, a small fleet and a short isol_fuzz campaign) with 4
+#      worker threads, the configuration that exercises the
+#      shared-nothing worker pool hardest. A float accumulated across
+#      workers shows up here as a data race; no lint rule checks for it.
 #
 # Usage: tools/sanitize_smoke.sh [asan-build-dir] [tsan-build-dir]
 #        (defaults: build-asan build-tsan)
@@ -22,8 +25,7 @@ echo "== ASan/UBSan =="
 cmake -S "$SRC_DIR" -B "$ASAN_DIR" -DISOL_SANITIZE=address
 cmake --build "$ASAN_DIR" -j
 cmake --build "$ASAN_DIR" --target smoke
-if ! "$ASAN_DIR/tools/isol_lint/isol_lint" --root "$SRC_DIR" \
-        --report-unused-suppressions; then
+if ! "$ASAN_DIR/tools/isol_lint/isol_lint" --root "$SRC_DIR"; then
     echo "sanitize_smoke: isol_lint found violations (or stale" \
         "suppressions); failing the smoke" >&2
     exit 1
@@ -36,9 +38,14 @@ ISOL_CHECK_INVARIANTS=1 "$ASAN_DIR/examples/degraded_tenant"
 
 echo "== TSan =="
 cmake -S "$SRC_DIR" -B "$TSAN_DIR" -DISOL_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j --target test_sweep
-cmake --build "$TSAN_DIR" -j --target fig5_fairness
+cmake --build "$TSAN_DIR" -j --target test_sweep fig5_fairness \
+    fig7_tradeoffs table1_summary calibration_probe fleet_scale isol_fuzz
 ISOL_JOBS=4 "$TSAN_DIR/tests/test_sweep"
-(cd "$TSAN_DIR" && ISOL_BENCH_QUICK=1 ./bench/fig5_fairness --jobs 4)
+for b in fig5_fairness fig7_tradeoffs table1_summary calibration_probe; do
+    (cd "$TSAN_DIR" && ISOL_BENCH_QUICK=1 "./bench/$b" --jobs 4 >/dev/null)
+done
+(cd "$TSAN_DIR" && ISOL_FLEET_TENANTS=64 ./bench/fleet_scale --jobs 4 \
+    >/dev/null)
+"$TSAN_DIR/tools/isol_fuzz/isol_fuzz" --seeds 8 --jobs 4
 
 echo "sanitize_smoke: OK"
