@@ -1,7 +1,5 @@
 #include "blk/block_device.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace isol::blk
@@ -105,11 +103,6 @@ BlockDevice::submit(Request *req)
     req->blk_enter_time = sim_.now();
     req->prio = req->cg != nullptr ? req->cg->prioClass()
                                    : cgroup::PrioClass::kNoChange;
-    // Submitters recycle Request slots; clear per-request retry state.
-    req->retries = 0;
-    req->attempt = 0;
-    req->failed = false;
-    req->timeout_event = sim::kInvalidEventId;
     ++submitted_;
     if (inv_ != nullptr) {
         inv_->onSubmit(req->cg, req->cg != nullptr
@@ -186,89 +179,16 @@ void
 BlockDevice::issueToDevice(Request *req)
 {
     req->dispatch_time = sim_.now();
-    uint64_t attempt = ++attempt_seq_;
-    req->attempt = attempt;
-    if (cfg_.nvme_timeout.enabled) {
-        req->timeout_event = sim_.after(
-            cfg_.nvme_timeout.command_timeout,
-            [this, req, attempt] { onCommandTimeout(req, attempt); });
-    }
-    ssd_.submit(req->op, req->offset, req->size, [this, req, attempt] {
-        onDeviceComplete(req, attempt);
-    });
-}
-
-void
-BlockDevice::onDeviceComplete(Request *req, uint64_t attempt)
-{
-    if (req->attempt != attempt) {
-        // An aborted attempt finishing anyway (its die time was already
-        // spent), or the slot was recycled for a newer request. Either
-        // way this completion belongs to nobody — drop it.
-        ++fault_stats_.late_completions;
-        return;
-    }
-    if (req->timeout_event != sim::kInvalidEventId) {
-        sim_.cancel(req->timeout_event);
-        req->timeout_event = sim::kInvalidEventId;
-    }
-    if (req->retries > 0) {
-        ++fault_stats_.retry_successes;
-        if (req->cg != nullptr)
-            ++req->cg->mutableIoFaultStat().retry_successes;
-    }
-    finishRequest(req);
-}
-
-void
-BlockDevice::onCommandTimeout(Request *req, uint64_t attempt)
-{
-    if (req->attempt != attempt)
-        return; // stale timer
-    req->timeout_event = sim::kInvalidEventId;
-    // Abort the in-flight attempt: invalidating the attempt id makes its
-    // eventual device completion a dropped late completion.
-    req->attempt = 0;
-    ++fault_stats_.timeouts;
-    ++fault_stats_.aborts;
-    if (req->cg != nullptr)
-        ++req->cg->mutableIoFaultStat().timeouts;
-
-    if (req->retries >= cfg_.nvme_timeout.max_retries) {
-        ++fault_stats_.failed_ios;
-        req->failed = true;
-        if (req->cg != nullptr)
-            ++req->cg->mutableIoFaultStat().failed_ios;
-        finishRequest(req);
-        return;
-    }
-
-    // Requeue with capped exponential backoff. The aborted attempt's
-    // device time is spent: the gate's requeue hook lets io.cost bill it
-    // to the issuing group.
-    ++req->retries;
-    uint32_t shift = std::min<uint32_t>(req->retries - 1, 30);
-    SimTime backoff =
-        std::min<SimTime>(cfg_.nvme_timeout.backoff_base << shift,
-                          cfg_.nvme_timeout.backoff_cap);
-    ++fault_stats_.requeues;
-    if (req->cg != nullptr)
-        ++req->cg->mutableIoFaultStat().requeues;
-    if (qos_)
-        qos_->onRequeue(req);
-    sim_.after(backoff, [this, req] { issueToDevice(req); });
+    ssd_.submit(req->op, req->offset, req->size,
+                [this, req] { finishRequest(req); });
 }
 
 void
 BlockDevice::finishRequest(Request *req)
 {
     ++completed_;
-    if (inv_ != nullptr) {
-        if (req->failed)
-            inv_->onFail(req->cg);
-        else
-            inv_->onComplete(req->cg);
-    }
+    if (inv_ != nullptr)
+        inv_->onComplete(req->cg);
     if (qos_)
         qos_->onComplete(req);
     elevator_->onComplete(req);

@@ -30,7 +30,6 @@
 #include "blk/request.hh"
 #include "blk/rq_qos.hh"
 #include "common/ring.hh"
-#include "fault/fault.hh"
 #include "sim/invariants.hh"
 #include "sim/simulator.hh"
 #include "ssd/device.hh"
@@ -82,9 +81,6 @@ struct BlockDeviceConfig
     SimTime iomax_cpu = nsToNs(450);
     SimTime iolat_cpu = nsToNs(200);
     SimTime iocost_cpu = nsToNs(300);
-
-    /** NVMe command-timeout handling (disabled by default). */
-    fault::TimeoutFaultConfig nvme_timeout;
 
     /**
      * Runtime invariant checker shared by the whole scenario (nullptr =
@@ -152,8 +148,6 @@ class BlockDevice
     uint64_t completed() const { return completed_; }
     uint32_t inflight() const { return inflight_; }
 
-    /** Command-timeout / retry counters (all zero when disabled). */
-    const fault::HostFaultStats &faultStats() const { return fault_stats_; }
     size_t tagWaiting() const { return tag_wait_.size(); }
     /** The rq-qos gate as its concrete type, nullptr if another runs. */
     IoMaxGate *ioMaxGate() { return dynamic_cast<IoMaxGate *>(qos_.get()); }
@@ -186,8 +180,6 @@ class BlockDevice
     void enterElevator(Request *req);
     void pumpDispatch();
     void issueToDevice(Request *req);
-    void onDeviceComplete(Request *req, uint64_t attempt);
-    void onCommandTimeout(Request *req, uint64_t attempt);
     void finishRequest(Request *req);
 
     sim::Simulator &sim_;
@@ -209,12 +201,6 @@ class BlockDevice
     uint64_t submitted_ = 0;
     uint64_t completed_ = 0;
     uint32_t submitters_ = 0;
-
-    // Command-timeout state. Attempt ids are device-global and strictly
-    // increasing: submitters recycle Request slots, so a late completion
-    // of an aborted attempt must be matched by id, not by pointer.
-    fault::HostFaultStats fault_stats_;
-    uint64_t attempt_seq_ = 0;
     sim::InvariantChecker *inv_ = nullptr;
 };
 

@@ -274,28 +274,6 @@ IoCostGate::tryCharge(CgState &st, OpType op, bool sequential,
 }
 
 void
-IoCostGate::onRequeue(Request *req)
-{
-    if (req->cg == nullptr)
-        return;
-    ensureChainStates(req->cg);
-    CgState &st = *states_.find(req->cg);
-    activate(st);
-    ensureShares();
-    updateVnow();
-    double abs = static_cast<double>(absCost(*req));
-    st.vtime += abs / std::max(st.share, 1e-9);
-    st.period_abs += abs;
-    chargeSubtree(st.cg, abs);
-    if (inv_ != nullptr) {
-        inv_->checkMonotonicAt(st.inv_vtime_last,
-                               "io.cost vtime monotonicity",
-                               strCat("cgroup '", req->cg->name(), "'"),
-                               st.vtime);
-    }
-}
-
-void
 IoCostGate::submit(Request *req)
 {
     ensureChainStates(req->cg);

@@ -86,15 +86,6 @@ class IoCostGate : public RqQos
     /** Records the dispatch -> complete device latency for qos. */
     void onComplete(Request *req) override;
 
-    /**
-     * Charge the issuing group for one retried attempt of `req`: the
-     * aborted attempt's device time is spent, so the group is debited a
-     * full absCost even though no completion arrives — retried work is
-     * visible to the knob (the group may run into vtime debt and be
-     * throttled on its next submission).
-     */
-    void onRequeue(Request *req) override;
-
     /** A final checkHierarchicalCharges() sweep. */
     void finalChecks() override { checkHierarchicalCharges(); }
 

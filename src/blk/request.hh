@@ -66,18 +66,10 @@ struct Request
     /** Resolved I/O priority class (from the cgroup, at submit). */
     cgroup::PrioClass prio = cgroup::PrioClass::kNoChange;
 
-    // --- NVMe command-timeout state (managed by the BlockDevice) ---
-
-    /** Requeues so far (0 on the first attempt). */
+    // Inert: nothing in the block layer reads these; they stay only
+    // because perfbench's BlkReplayer still assigns them.
     uint32_t retries = 0;
-
-    /** Id of the current device attempt (stale completions are dropped). */
-    uint64_t attempt = 0;
-
-    /** Armed command-timeout event for the in-flight attempt. */
     sim::EventId timeout_event = sim::kInvalidEventId;
-
-    /** The request failed after exhausting its retries. */
     bool failed = false;
 };
 

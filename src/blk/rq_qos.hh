@@ -6,7 +6,6 @@
  *   rq_qos_ops   RqQos
  *   throttle     submit()       pass the request downstream or hold it
  *   done         onComplete()   the request left the device
- *   requeue      onRequeue()    a timed-out attempt is about to retry
  *   exit         ~RqQos()       detach from the device and the tree
  *
  * plus two simulator hooks: start() arms periodic controllers and
@@ -64,11 +63,8 @@ class RqQos
     /** Throttle: pass `req` downstream now, or queue it until later. */
     virtual void submit(Request *req) = 0;
 
-    /** Done: `req` completed (or failed) on the device. */
+    /** Done: `req` completed on the device. */
     virtual void onComplete(Request *req) { (void)req; }
-
-    /** Requeue: an aborted attempt of `req` is about to be retried. */
-    virtual void onRequeue(Request *req) { (void)req; }
 
     /** Arm periodic controllers; called once before the run. */
     virtual void start() {}

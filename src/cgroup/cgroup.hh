@@ -89,20 +89,6 @@ class Cgroup
     /** io.latency target for `dev` (0 = disabled). */
     SimTime ioLatencyTarget(DeviceId dev) const;
 
-    // --- NVMe fault/retry accounting (filled by the block layer) ---
-
-    /** Per-cgroup command-timeout and retry counters. */
-    struct IoFaultStat
-    {
-        uint64_t timeouts = 0; //!< command timeouts hit by this group
-        uint64_t requeues = 0; //!< retries issued after backoff
-        uint64_t retry_successes = 0; //!< I/Os completing after >=1 retry
-        uint64_t failed_ios = 0; //!< I/Os failed after max_retries
-    };
-
-    const IoFaultStat &ioFaultStat() const { return io_fault_; }
-    IoFaultStat &mutableIoFaultStat() { return io_fault_; }
-
   private:
     friend class CgroupTree;
 
@@ -135,7 +121,6 @@ class Cgroup
     PrioClass prio_class_ = PrioClass::kNoChange;
     std::map<DeviceId, IoMaxLimits> io_max_;
     std::map<DeviceId, IoLatencyConfig> io_latency_;
-    IoFaultStat io_fault_;
 };
 
 /**

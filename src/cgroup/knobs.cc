@@ -1,6 +1,8 @@
 #include "cgroup/knobs.hh"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/strings.hh"
 
@@ -29,9 +31,23 @@ parseDouble(const std::string &text)
         return std::nullopt;
     char *end = nullptr;
     double v = std::strtod(text.c_str(), &end);
-    if (end == nullptr || *end != '\0')
+    // strtod also reads "nan" and "inf", which slip past every range
+    // check the callers make.
+    if (end == nullptr || *end != '\0' || !std::isfinite(v))
         return std::nullopt;
     return v;
+}
+
+/** A µs value as SimTime ns; nullopt when it does not fit. */
+std::optional<SimTime>
+parseUsAsNs(const std::string &text)
+{
+    auto parsed = parseUint(text);
+    constexpr uint64_t kMaxUs =
+        static_cast<uint64_t>(std::numeric_limits<SimTime>::max()) / 1000;
+    if (!parsed || *parsed > kMaxUs)
+        return std::nullopt;
+    return usToNs(static_cast<int64_t>(*parsed));
 }
 
 } // namespace
@@ -101,10 +117,10 @@ parseIoLatency(const std::string &text)
         if (!splitKeyValue(token, key, value))
             return std::nullopt;
         if (key == "target") {
-            auto parsed = parseUint(value);
-            if (!parsed)
+            auto target = parseUsAsNs(value);
+            if (!target)
                 return std::nullopt;
-            out.target = usToNs(static_cast<int64_t>(*parsed));
+            out.target = *target;
         } else {
             return std::nullopt;
         }
@@ -177,11 +193,10 @@ parseIoCostQos(const std::string &text, IoCostQos base)
             continue;
         }
         if (key == "rlat" || key == "wlat") {
-            auto parsed = parseUint(value);
-            if (!parsed)
+            auto lat = parseUsAsNs(value);
+            if (!lat)
                 return std::nullopt;
-            SimTime lat = usToNs(static_cast<int64_t>(*parsed));
-            (key == "rlat" ? out.rlat : out.wlat) = lat;
+            (key == "rlat" ? out.rlat : out.wlat) = *lat;
             continue;
         }
         auto parsed = parseDouble(value);

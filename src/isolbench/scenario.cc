@@ -105,9 +105,7 @@ void
 Scenario::buildDevices()
 {
     for (uint32_t i = 0; i < cfg_.num_devices; ++i) {
-        ssd::SsdConfig scfg = cfg_.device;
-        scfg.faults = cfg_.faults.device;
-        auto ssd = std::make_unique<ssd::SsdDevice>(sim_, scfg,
+        auto ssd = std::make_unique<ssd::SsdDevice>(sim_, cfg_.device,
                                                     cfg_.seed + i * 977);
         if (cfg_.precondition)
             ssd->precondition(1.0, 2.0);
@@ -116,7 +114,6 @@ Scenario::buildDevices()
         bcfg.dev_id = i;
         bcfg.invariants = inv_.get();
         bcfg.debug_corrupt_iomax_bucket = cfg_.debug_corrupt_iomax_bucket;
-        bcfg.nvme_timeout = cfg_.faults.timeout;
         bcfg.mq_params = cfg_.mq_params;
         bcfg.bfq_params = cfg_.bfq_params;
         bcfg.iocost_params = cfg_.iocost_params;

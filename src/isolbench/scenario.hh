@@ -27,7 +27,6 @@
 
 #include "blk/block_device.hh"
 #include "cgroup/cgroup.hh"
-#include "fault/fault.hh"
 #include "host/cpu.hh"
 #include "host/engine.hh"
 #include "sim/invariants.hh"
@@ -92,12 +91,6 @@ struct ScenarioConfig
 
     /** Ablation: run the iocost period timer as host CPU work. */
     bool iocost_timer_on_cpu = true;
-
-    /**
-     * Fault-injection plane (strictly opt-in; the default keeps every
-     * family disabled and the scenario identical to a fault-free build).
-     */
-    fault::FaultPlane faults;
 
     /**
      * Runtime invariant checking (sim/invariants.hh). Defaults to the

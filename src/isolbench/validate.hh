@@ -5,7 +5,7 @@
  * A silently-wrong result is worse than a crashed task: it flows into a
  * figure and misleads. Every Scenario::run() therefore ends with a pass
  * over cheap structural invariants — I/O conservation (submitted ==
- * completed + outstanding, failed <= completed), non-negative finite
+ * completed + outstanding), non-negative finite
  * throughput, monotone latency percentiles (p50 <= p95 <= p99), CPU
  * utilisation inside [0, 1] — and a violation raises a structured
  * InvariantViolation. It propagates out of the sweep, so the bench
@@ -50,13 +50,12 @@ struct Issue
 
 /**
  * I/O conservation for one device: every submitted request is either
- * completed (failed requests also complete, with an error) or still
- * outstanding, and the outstanding population cannot exceed the total
- * queue depth of the apps driving the device.
+ * completed or still outstanding, and the outstanding population cannot
+ * exceed the total queue depth of the apps driving the device.
  */
 void checkConservation(std::vector<Issue> &issues, const std::string &who,
                        uint64_t submitted, uint64_t completed,
-                       uint64_t failed, uint64_t max_outstanding);
+                       uint64_t max_outstanding);
 
 /** Throughput must be finite and non-negative. */
 void checkThroughput(std::vector<Issue> &issues, const std::string &who,

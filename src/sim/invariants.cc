@@ -81,22 +81,11 @@ void
 InvariantChecker::onComplete(const void *group)
 {
     Group &g = groupFor(group, "?");
-    require(g.completed + g.failed < g.submitted, "request conservation",
+    require(g.completed < g.submitted, "request conservation",
             strCat("cgroup '", g.label, "': completion #",
-                   g.completed + g.failed + 1, " outruns ", g.submitted,
+                   g.completed + 1, " outruns ", g.submitted,
                    " submissions"));
     ++g.completed;
-}
-
-void
-InvariantChecker::onFail(const void *group)
-{
-    Group &g = groupFor(group, "?");
-    require(g.completed + g.failed < g.submitted, "request conservation",
-            strCat("cgroup '", g.label, "': failure #",
-                   g.completed + g.failed + 1, " outruns ", g.submitted,
-                   " submissions"));
-    ++g.failed;
 }
 
 void
@@ -147,12 +136,10 @@ InvariantChecker::finalCheck(uint64_t max_outstanding)
 {
     uint64_t outstanding = 0;
     for (const Group &g : groups_) {
-        require(g.completed + g.failed <= g.submitted,
-                "request conservation",
+        require(g.completed <= g.submitted, "request conservation",
                 strCat("cgroup '", g.label, "': ", g.completed,
-                       " completed + ", g.failed, " failed > ",
-                       g.submitted, " submitted"));
-        outstanding += g.submitted - g.completed - g.failed;
+                       " completed > ", g.submitted, " submitted"));
+        outstanding += g.submitted - g.completed;
     }
     require(outstanding <= max_outstanding, "request conservation",
             strCat(outstanding, " requests still in flight at end of "

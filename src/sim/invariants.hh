@@ -9,8 +9,8 @@
  * surfacing as a mysteriously skewed figure two seconds of simulated
  * time later:
  *
- *  - request conservation per cgroup: completions and failures never
- *    outrun submissions (submitted = completed + in-flight + failed);
+ *  - request conservation per cgroup: completions never outrun
+ *    submissions (submitted = completed + in-flight);
  *  - io.cost vtime monotonicity: a group's consumed virtual time never
  *    moves backwards;
  *  - io.max token buckets: `next_free` is non-negative and monotone
@@ -81,11 +81,8 @@ class InvariantChecker
     /** A request of `group` entered the pipeline. */
     void onSubmit(const void *group, const std::string &label);
 
-    /** A request of `group` completed successfully. */
+    /** A request of `group` completed. */
     void onComplete(const void *group);
-
-    /** A request of `group` failed terminally (timeout retries spent). */
-    void onFail(const void *group);
 
     // --- Generic building blocks ---
 
@@ -141,7 +138,6 @@ class InvariantChecker
         std::string label;
         uint64_t submitted = 0;
         uint64_t completed = 0;
-        uint64_t failed = 0;
     };
 
     [[noreturn]] void violate(const char *what, const std::string &detail);

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "common/types.hh"
-#include "fault/fault.hh"
 
 namespace isol::ssd
 {
@@ -60,9 +59,6 @@ struct SsdConfig
     // --- Garbage collection ---
     double gc_bg_threshold = 0.12; //!< start GC when free frac below this
     double gc_fg_threshold = 0.04; //!< stall host writes below this
-
-    // --- Fault injection (strictly opt-in; disabled by default) ---
-    fault::DeviceFaultConfig faults;
 
     /** Total dies in the device. */
     uint32_t numDies() const { return channels * dies_per_channel; }

@@ -28,10 +28,7 @@ constexpr double kFlushPressure = 0.75;
 
 SsdDevice::SsdDevice(sim::Simulator &sim, const SsdConfig &cfg,
                      uint64_t seed)
-    : sim_(sim), cfg_(cfg), rng_(seed), ftl_(cfg),
-      faults_(cfg.faults, cfg.numDies(), cfg.user_capacity,
-              seed ^ 0x9e3779b97f4a7c15ULL),
-      link_(sim)
+    : sim_(sim), cfg_(cfg), rng_(seed), ftl_(cfg), link_(sim)
 {
     const uint32_t dies = cfg_.numDies();
     dies_.resize(dies);
@@ -62,8 +59,6 @@ SsdDevice::jitter(SimTime base)
     double factor = 1.0;
     if (cfg_.latency_jitter > 0.0)
         factor = 1.0 + cfg_.latency_jitter * (2.0 * rng_.uniform() - 1.0);
-    // Injected latency-spike windows slow every die operation.
-    factor *= faults_.serviceMultiplier(sim_.now());
     if (factor == 1.0)
         return base;
     return static_cast<SimTime>(static_cast<double>(base) * factor);
@@ -76,19 +71,6 @@ SsdDevice::readServiceTime()
     if (cfg_.slow_read_prob > 0.0 && rng_.chance(cfg_.slow_read_prob)) {
         t = static_cast<SimTime>(static_cast<double>(t) *
                                  cfg_.slow_read_factor);
-    }
-    return t;
-}
-
-SimTime
-SsdDevice::programTime()
-{
-    SimTime t = jitter(cfg_.program_latency);
-    if (faults_.thermalEnabled()) {
-        double mult = faults_.programMultiplier(sim_.now());
-        if (mult != 1.0)
-            t = static_cast<SimTime>(static_cast<double>(t) * mult);
-        faults_.noteProgram(sim_.now(), t);
     }
     return t;
 }
@@ -220,15 +202,6 @@ SsdDevice::submitFlashRead(uint64_t offset, uint32_t size, Callback done)
         PhysLoc loc = ftl_.lookupRead(lpn);
         uint32_t die = loc.die;
         SimTime service = readServiceTime();
-        if (faults_.mediaEnabled()) {
-            fault::MediaFaultModel::ReadOutcome out =
-                faults_.readOutcome(lpn * cfg_.page_size, die, service);
-            service = out.service;
-            // The read is serviced from the failing block, then the FTL
-            // remaps the survivors and retires the block.
-            if (out.remap && ftl_.growBadBlock(lpn))
-                ++faults_.mutableStats().remapped_blocks;
-        }
         dieRead(die, service, [this, die, state] {
             SimTime xfer = transferTime(cfg_.page_size, cfg_.channel_bw);
             channelOf(die).enqueue(xfer, [this, state] {
@@ -331,7 +304,7 @@ SsdDevice::pumpDiePrograms(uint32_t die)
 
         SimTime xfer = transferTime(cfg_.page_size, cfg_.channel_bw);
         channelOf(die).enqueue(xfer, [this, die] {
-            SimTime prog = programTime();
+            SimTime prog = jitter(cfg_.program_latency);
             dieWrite(die, prog, [this, die] { onProgramDone(die); });
         });
     }
@@ -379,7 +352,9 @@ SsdDevice::pumpGc(uint32_t die)
     if (ftl_.gcHasMove(die)) {
         gc_active_[die] = true;
         // Die-internal copyback: read + program back-to-back on the die.
-        SimTime move = readServiceTime() + programTime();
+        // Two statements fix the order of the two RNG draws.
+        SimTime move = readServiceTime();
+        move += jitter(cfg_.program_latency);
         dieWrite(die, move, [this, die] {
             ftl_.gcCommitMove(die);
             gc_active_[die] = false;

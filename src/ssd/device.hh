@@ -34,7 +34,6 @@
 #include "common/ring.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
-#include "fault/media_model.hh"
 #include "sim/simulator.hh"
 #include "ssd/config.hh"
 #include "ssd/ftl.hh"
@@ -99,15 +98,6 @@ class SsdDevice
     /** Expose the FTL for white-box tests. */
     const Ftl &ftl() const { return ftl_; }
 
-    /** Device-side fault counters (all zero when faults are disabled). */
-    const fault::DeviceFaultStats &faultStats() const
-    {
-        return faults_.stats();
-    }
-
-    /** True while the device is thermally throttled. */
-    bool throttling() const { return faults_.throttling(); }
-
   private:
     /**
      * Per-die controller scheduler: a read queue and a write-path queue
@@ -151,9 +141,6 @@ class SsdDevice
     /** Jittered read time including the read-retry tail. */
     SimTime readServiceTime();
 
-    /** Jittered program time including thermal throttling, if enabled. */
-    SimTime programTime();
-
     SimTime transferTime(uint64_t bytes, uint64_t bw) const;
 
     FifoServer &channelOf(uint32_t die);
@@ -193,7 +180,6 @@ class SsdDevice
     const SsdConfig cfg_;
     Rng rng_;
     Ftl ftl_;
-    fault::MediaFaultModel faults_;
 
     std::vector<DieQueue> dies_;
     std::vector<std::unique_ptr<FifoServer>> channels_;

@@ -203,8 +203,6 @@ Ftl::selectVictim(uint32_t die) const
         if (b == d.host_wp || b == d.gc_wp)
             continue;
         const Block &blk = d.blocks[b];
-        if (blk.bad)
-            continue; // grown bad block: never erased or reused
         if (blk.used < pages_per_block_)
             continue; // not fully written (free or active)
         if (blk.valid < best_valid) {
@@ -236,12 +234,11 @@ void
 Ftl::gcCommitMove(uint32_t die, uint32_t pages)
 {
     Die &d = dies_[die];
-    if (d.victim == kNoBlock) {
-        // A bad-block remap ran instant GC while this move was in
-        // flight on the die and reclaimed the victim already; the die
-        // time was spent but there is nothing left to copy.
-        return;
-    }
+    // Only gcHasMove() schedules a move, and only gcCommitErase() clears
+    // the victim; instant GC runs during preconditioning, before any
+    // move is in flight.
+    if (d.victim == kNoBlock)
+        panic("Ftl::gcCommitMove: move committed with no GC victim");
     Block &victim = d.blocks[d.victim];
     uint32_t *src = slots(die, d.victim);
     // When the host overwrote the victim's remaining pages while this
@@ -286,13 +283,12 @@ void
 Ftl::gcCommitErase(uint32_t die)
 {
     Die &d = dies_[die];
-    if (!victimReadyForErase(die)) {
-        // Either the victim was reclaimed by instant GC during a
-        // bad-block remap while the erase was in flight, or instant GC
-        // replaced it with a fresh, still-valid victim. Both ways the
-        // scheduled erase is moot; the caller re-evaluates GC state.
-        return;
-    }
+    // An erase is scheduled only for a drained victim, host writes only
+    // drain it further, and instant GC runs during preconditioning,
+    // before any erase is in flight.
+    if (!victimReadyForErase(die))
+        panic("Ftl::gcCommitErase: erase committed before the victim "
+              "was drained");
     Block &victim = d.blocks[d.victim];
     uint32_t *victim_slots = slots(die, d.victim);
     std::fill(victim_slots, victim_slots + pages_per_block_, kUnmapped);
@@ -336,55 +332,6 @@ Ftl::instantGc(uint32_t die)
         gcCommitMove(die, victim.valid);
         gcCommitErase(die);
     }
-}
-
-bool
-Ftl::growBadBlock(uint64_t lpn)
-{
-    if (cfg_.medium != MediumType::kFlash)
-        return false;
-    if (lpn >= num_lpns_)
-        lpn %= num_lpns_;
-    uint32_t entry = mapping_[lpn];
-    if (entry == kUnmappedEntry)
-        return false;
-    PhysLoc loc = unpack(entry);
-    Die &d = dies_[loc.die];
-    // Active blocks stay in service: retiring a write point or the GC
-    // victim mid-scan would corrupt the allocation state machine.
-    if (loc.block == d.host_wp || loc.block == d.gc_wp ||
-        loc.block == d.victim) {
-        return false;
-    }
-    Block &blk = d.blocks[loc.block];
-    if (blk.bad)
-        return false;
-
-    // Retire the block BEFORE draining it: remap writes below can kick
-    // off GC on this die, and a not-yet-bad full block with dead pages
-    // is a tempting victim — letting GC erase and reuse it mid-drain
-    // would put survivor pages right back into the bad block.
-    blk.bad = true;
-    blk.used = pages_per_block_;
-    ++bad_blocks_;
-
-    // Remap every surviving page (including the triggering one) to a
-    // fresh location; instantWrite invalidates the old slot first, so
-    // the block drains to zero valid pages. The block is never selected
-    // as a GC victim and never returns to the free list — the die's
-    // spare capacity just shrank by one block.
-    const uint32_t *blk_slots = slots(loc.die, loc.block);
-    std::vector<uint32_t> survivors;
-    survivors.reserve(blk.valid);
-    for (uint32_t p = 0; p < blk.used; ++p) {
-        if (blk_slots[p] != kUnmapped)
-            survivors.push_back(blk_slots[p]);
-    }
-    for (uint32_t survivor : survivors)
-        instantWrite(survivor);
-    if (blk.valid != 0)
-        panic("Ftl::growBadBlock: block not drained by remap");
-    return true;
 }
 
 bool
@@ -443,9 +390,6 @@ Ftl::checkInvariants(std::string *error) const
             if (blk.used != 0 || blk.valid != 0)
                 return fail(strCat("die ", die, " free block ", b,
                                    " not empty"));
-            if (blk.bad)
-                return fail(strCat("die ", die, " bad block ", b,
-                                   " on the free list"));
         }
         if (d.free_blocks.size() > blocks_per_die_)
             return fail(strCat("die ", die, " free list too large"));

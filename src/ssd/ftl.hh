@@ -13,7 +13,7 @@
  * Layout: the forward map holds one packed 32-bit (die, block, page)
  * entry per lpn; the reverse (P2L) map is one flat array of 32-bit lpns,
  * one per physical page slot, indexed block-major so a block's slots are
- * contiguous. Per-block metadata is just {used, valid, bad}.
+ * contiguous. Per-block metadata is just {used, valid}.
  */
 
 #ifndef ISOL_SSD_FTL_HH
@@ -148,21 +148,6 @@ class Ftl
     void preconditionRandomOverwrite(uint64_t count, Rng &rng);
 
     /**
-     * Declare the block holding `lpn` a grown bad block: its surviving
-     * valid pages are remapped to fresh locations (instant bookkeeping;
-     * the device charges die time separately) and the block is retired
-     * from circulation forever, shrinking effective spare capacity.
-     *
-     * Returns false without side effects when the block cannot be
-     * retired right now (unmapped lpn, active write point, current GC
-     * victim, or non-flash media).
-     */
-    bool growBadBlock(uint64_t lpn);
-
-    /** Grown bad blocks retired so far (whole device). */
-    uint64_t badBlocks() const { return bad_blocks_; }
-
-    /**
      * Verify internal consistency (testing): every mapped LPN points at
      * a slot that points back; per-block valid counts match the mapping;
      * free-list blocks are empty; block counts add up. Returns true when
@@ -203,7 +188,6 @@ class Ftl
     {
         uint16_t used = 0; //!< slots written
         uint16_t valid = 0; //!< slots still mapped
-        bool bad = false; //!< grown bad block, out of circulation
     };
 
     struct Die
@@ -272,7 +256,6 @@ class Ftl
     uint64_t host_pages_written_ = 0;
     uint64_t gc_pages_moved_ = 0;
     uint64_t blocks_erased_ = 0;
-    uint64_t bad_blocks_ = 0;
 };
 
 } // namespace isol::ssd

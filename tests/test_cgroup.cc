@@ -77,6 +77,12 @@ TEST(Knobs, ParseIoLatency)
     EXPECT_EQ(cfg->target, usToNs(75));
     EXPECT_FALSE(parseIoLatency("target=abc").has_value());
     EXPECT_FALSE(parseIoLatency("tgt=75").has_value());
+    // µs values whose ns form overflows SimTime.
+    EXPECT_FALSE(parseIoLatency("target=18446744073709551615").has_value());
+    EXPECT_FALSE(parseIoLatency("target=9300000000000000").has_value());
+    auto max = parseIoLatency("target=9223372036854775");
+    ASSERT_TRUE(max.has_value());
+    EXPECT_EQ(max->target, usToNs(9223372036854775));
 }
 
 TEST(Knobs, ParseIoCostModel)
@@ -110,6 +116,13 @@ TEST(Knobs, ParseIoCostQosValidation)
     EXPECT_FALSE(parseIoCostQos("min=80 max=50").has_value());
     EXPECT_FALSE(parseIoCostQos("rpct=150").has_value());
     EXPECT_FALSE(parseIoCostQos("enable=2").has_value());
+    // NaN and infinity pass every comparison-based range check.
+    EXPECT_FALSE(parseIoCostQos("min=nan max=100").has_value());
+    EXPECT_FALSE(parseIoCostQos("rpct=nan").has_value());
+    EXPECT_FALSE(parseIoCostQos("max=inf").has_value());
+    // µs latencies whose ns form overflows SimTime.
+    EXPECT_FALSE(parseIoCostQos("rlat=18446744073709551615").has_value());
+    EXPECT_FALSE(parseIoCostQos("wlat=9300000000000000").has_value());
 }
 
 TEST(Knobs, ParseWeightRanges)

@@ -105,7 +105,7 @@ TEST(Validate, DoctoredResultsFailValidation)
 {
     std::vector<validate::Issue> issues;
     // completed > submitted.
-    validate::checkConservation(issues, "nvme0", 100, 150, 0, 64);
+    validate::checkConservation(issues, "nvme0", 100, 150, 64);
     // non-monotone percentiles.
     validate::checkPercentiles(issues, "app", 500, 400, 900);
     // negative throughput.
@@ -125,7 +125,7 @@ TEST(Validate, DoctoredResultsFailValidation)
     }
 
     std::vector<validate::Issue> clean;
-    validate::checkConservation(clean, "nvme0", 100, 90, 5, 64);
+    validate::checkConservation(clean, "nvme0", 100, 90, 64);
     validate::checkPercentiles(clean, "app", 100, 200, 300);
     validate::checkThroughput(clean, "agg", 2.5);
     validate::checkRatio(clean, "cpu", 0.8);

@@ -2,8 +2,8 @@
  * @file
  * Tests for the parallel sweep engine: slot-indexed result collection,
  * exception ordering, nested-sweep degradation, and — the core contract
- * — byte-identical reports for any worker count, with and without fault
- * injection.
+ * — byte-identical reports for any worker count, with and without an
+ * adversarial tenant.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 
 #include "common/logging.hh"
 #include "common/strings.hh"
-#include "fault/fault.hh"
 #include "isolbench/d2_fairness.hh"
 #include "isolbench/scenario.hh"
 #include "isolbench/sweep.hh"
@@ -213,23 +212,24 @@ TEST(SweepDeterminism, Fig5GridByteIdenticalAcrossJobs)
     EXPECT_FALSE(sequential.empty());
 }
 
-/** One fault-injected scenario; returns an exact-metrics fingerprint. */
+/** One io.cost scenario with a GC-storm adversary; returns an
+ *  exact-metrics fingerprint. */
 std::string
-faultedScenarioFingerprint(uint64_t seed)
+adversaryScenarioFingerprint(uint64_t seed)
 {
     ScenarioConfig cfg;
-    cfg.name = strCat("sweep-faults-", seed);
+    cfg.name = strCat("sweep-adversary-", seed);
     cfg.knob = Knob::kIoCost;
     cfg.num_cores = 4;
     cfg.duration = msToNs(250);
     cfg.warmup = msToNs(50);
     cfg.seed = seed;
-    cfg.faults = fault::profileConfig(fault::Profile::kAll);
 
     Scenario scenario(cfg);
     uint32_t lc = scenario.addApp(workload::lcApp("lc", cfg.duration),
                                   "lc");
     scenario.addApp(workload::beApp("be", cfg.duration), "be");
+    scenario.addAdversary(workload::AdversaryKind::kGcStorm, "adv");
     scenario.tree().writeFile(scenario.appGroup(lc), "io.weight",
                               "10000");
     scenario.run();
@@ -244,13 +244,13 @@ faultedScenarioFingerprint(uint64_t seed)
     return print;
 }
 
-TEST(SweepDeterminism, FaultedReplayByteIdenticalAcrossJobs)
+TEST(SweepDeterminism, AdversaryReplayByteIdenticalAcrossJobs)
 {
     auto fingerprints = [](uint32_t jobs) {
         return sweep::map<std::string>(
             4,
             [](size_t i) {
-                return faultedScenarioFingerprint(11 + i * 17);
+                return adversaryScenarioFingerprint(11 + i * 17);
             },
             jobs);
     };
@@ -264,7 +264,7 @@ TEST(SweepDeterminism, FaultedReplayByteIdenticalAcrossJobs)
 TEST(SweepProfiler, RecordsScenarioRuns)
 {
     sweep::clearProfiles();
-    faultedScenarioFingerprint(3);
+    adversaryScenarioFingerprint(3);
     auto once = sweep::profileSummary();
     EXPECT_EQ(once.scenarios, 1u);
     EXPECT_GT(once.events, 0u);
@@ -274,7 +274,7 @@ TEST(SweepProfiler, RecordsScenarioRuns)
 
     // A second, identical run folds into the same summary: counts add,
     // the peak depth is a max.
-    faultedScenarioFingerprint(3);
+    adversaryScenarioFingerprint(3);
     auto twice = sweep::profileSummary();
     EXPECT_EQ(twice.scenarios, 2u);
     EXPECT_EQ(twice.events, 2 * once.events);

@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/strings.hh"
-#include "fault/fault.hh"
 #include "isolbench/scenario.hh"
 #include "isolbench/sweep.hh"
 #include "isolbench/validate.hh"
@@ -114,10 +113,6 @@ runOne(uint64_t seed, const FuzzOptions &opts)
         cfg.seed = seed;
         cfg.check_invariants = opts.check_invariants;
         cfg.debug_corrupt_iomax_bucket = opts.mutate_bucket;
-        if (rng.chance(0.25))
-            cfg.faults = fault::profileConfig(fault::Profile::kMedia);
-        else if (rng.chance(0.125))
-            cfg.faults = fault::profileConfig(fault::Profile::kThermal);
 
         Scenario scenario(cfg);
 
@@ -161,13 +156,8 @@ runOne(uint64_t seed, const FuzzOptions &opts)
                               job.latency().percentile(50), ":",
                               job.latency().percentile(99), ";");
         }
-        const fault::DeviceFaultStats &dev = scenario.ssd(0).faultStats();
-        const fault::HostFaultStats &host =
-            scenario.device(0).faultStats();
         payload += strCat(
-            "gc=", scenario.ssd(0).gcPagesMoved(),
-            ",retry=", dev.read_retries, ",timeout=", host.timeouts,
-            ",requeue=", host.requeues, ",checks=",
+            "gc=", scenario.ssd(0).gcPagesMoved(), ",checks=",
             scenario.invariants() != nullptr
                 ? scenario.invariants()->checksPerformed()
                 : 0);

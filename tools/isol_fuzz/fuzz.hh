@@ -3,7 +3,7 @@
  * isol_fuzz — differential scenario fuzzer for the chaos plane.
  *
  * Each seed deterministically derives one scenario (knob, device shape,
- * tenant mix including adversaries, fault profile, knob settings), runs
+ * tenant mix including adversaries, knob settings), runs
  * it three times — twice sequentially and once inside the parallel
  * sweep pool — and fails on any byte divergence between the canonical
  * result payloads or on a runtime invariant trip. Every failure prints

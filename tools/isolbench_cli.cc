@@ -18,8 +18,6 @@
  *   --warmup <ms>         stats excluded before this (default 300)
  *   --precondition        steady-state fill before the run
  *   --seed <n>            RNG seed (default 1)
- *   --faults <off|media|thermal|all>
- *                         fault-injection profile (default off)
  *   --jobs <n>            sweep worker threads for parallel runners
  *                         (default: hardware concurrency)
  *   --adversary <queue-flood|gc-storm|square-wave|flush-storm|slow-drain>
@@ -52,10 +50,8 @@
 
 #include "common/logging.hh"
 #include "common/strings.hh"
-#include "fault/fault.hh"
 #include "isolbench/scenario.hh"
 #include "isolbench/sweep.hh"
-#include "stats/fault_table.hh"
 #include "stats/table.hh"
 
 using namespace isol;
@@ -98,7 +94,6 @@ printUsage()
         "  --knob none|mq-deadline|bfq|io.max|io.latency|io.cost|kyber\n"
         "  --cores N | --devices N | --device flash|optane\n"
         "  --duration MS | --warmup MS | --precondition | --seed N\n"
-        "  --faults off|media|thermal|all\n"
         "  --jobs N   (sweep worker threads; default hw concurrency)\n"
         "  --adversary queue-flood|gc-storm|square-wave|flush-storm|\n"
         "              slow-drain    (misbehaving tenant in cgroup 'adv')\n"
@@ -302,11 +297,6 @@ main(int argc, char **argv)
             if (!parsed)
                 usageError("bad --seed");
             cfg.seed = *parsed;
-        } else if (arg == "--faults") {
-            auto profile = fault::parseProfile(next_value(i, "--faults"));
-            if (!profile)
-                usageError("bad --faults (off|media|thermal|all)");
-            cfg.faults = fault::profileConfig(*profile);
         } else if (arg == "--jobs") {
             auto parsed = parseUint(next_value(i, "--jobs"));
             if (!parsed || *parsed == 0)
@@ -397,24 +387,6 @@ main(int argc, char **argv)
                     csv ? "# " : "\n", scenario.aggregateGiBs(),
                     scenario.cpuUtilization() * 100.0,
                     knobName(cfg.knob));
-
-        if (cfg.faults.any()) {
-            std::puts("\nfault counters:");
-            for (uint32_t d = 0; d < scenario.numDevices(); ++d) {
-                stats::Table faults = stats::deviceFaultTable(
-                    strCat("nvme", d), scenario.ssd(d).faultStats(),
-                    scenario.device(d).faultStats());
-                std::fputs(csv ? faults.toCsv().c_str()
-                               : faults.toAligned().c_str(),
-                           stdout);
-            }
-            stats::Table per_cg = stats::cgroupFaultTable(scenario.tree());
-            if (per_cg.numRows() > 0) {
-                std::fputs(csv ? per_cg.toCsv().c_str()
-                               : per_cg.toAligned().c_str(),
-                           stdout);
-            }
-        }
     } catch (const FatalError &e) {
         std::fprintf(stderr, "isolbench: %s\n", e.what());
         return 1;

@@ -1,11 +1,11 @@
 #!/bin/sh
 # Sanitizer smoke for the simulator:
-#   1. ASan+UBSan build: quickstart example + fault-injected CLI
-#      scenario (the `smoke` target), an isol_lint pass over the tree
-#      (so the lint tool itself runs sanitized), a short isol_fuzz
-#      campaign with runtime invariants on, and the degraded-tenant
-#      study (desideratum D5) with ISOL_CHECK_INVARIANTS=1 — faults,
-#      adversaries and the invariant hooks all under the sanitizer.
+#   1. ASan+UBSan build: quickstart example + io.cost CLI scenario
+#      (the `smoke` target), an isol_lint pass over the tree (so the
+#      lint tool itself runs sanitized), and a short isol_fuzz campaign
+#      with runtime invariants on plus its planted-bug mutation run —
+#      adversaries, every knob and the invariant hooks all under the
+#      sanitizer.
 #   2. TSan build: the sweep-engine determinism tests and every
 #      sweep::map caller (the quick fig5, fig7, table1 and calibration
 #      benches, a small fleet and a short isol_fuzz campaign) with 4
@@ -34,7 +34,6 @@ fi
     --check-invariants
 "$ASAN_DIR/tools/isol_fuzz/isol_fuzz" --seeds 2 --jobs 1 \
     --mutate bucket --check-invariants --expect-violations
-ISOL_CHECK_INVARIANTS=1 "$ASAN_DIR/examples/degraded_tenant"
 
 echo "== TSan =="
 cmake -S "$SRC_DIR" -B "$TSAN_DIR" -DISOL_SANITIZE=thread
