@@ -1,6 +1,7 @@
 #include "blk/qos_cost.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 #include "common/strings.hh"
@@ -289,18 +290,20 @@ IoCostGate::submit(Request *req)
     drain(st);
 }
 
-void
+size_t
 IoCostGate::drain(CgState &st)
 {
     if (st.wake_event != sim::kInvalidEventId) {
         sim_.cancel(st.wake_event);
         st.wake_event = sim::kInvalidEventId;
     }
+    size_t admitted = 0;
     while (!st.queue.empty()) {
         const QEnt head = st.queue.front();
         if (tryCharge(st, head.op, head.sequential, head.size)) {
             st.queue.pop_front();
             --throttled_;
+            ++admitted;
             pass_(head.req);
             continue;
         }
@@ -310,17 +313,21 @@ IoCostGate::drain(CgState &st)
                       std::max(st.share, 1e-9);
         double needed =
             st.vtime + cost - static_cast<double>(params_.margin) - vnow_;
+        // Round up: a delay truncated to whole ns wakes just before the
+        // head is admissible, admits nothing and re-arms at the floor.
         SimTime delay = static_cast<SimTime>(
-            needed / std::max(vrate_, 1e-6));
+            std::ceil(needed / std::max(vrate_, 1e-6)));
         delay = std::max<SimTime>(delay, usToNs(1));
         const cgroup::Cgroup *cg = st.cg;
         st.wake_event = sim_.after(delay, [this, cg] {
             CgState &state = stateFor(cg);
             state.wake_event = sim::kInvalidEventId;
-            drain(state);
+            if (drain(state) == 0)
+                ++idle_wakes_;
         });
-        return;
+        break;
     }
+    return admitted;
 }
 
 void

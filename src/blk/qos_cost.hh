@@ -111,6 +111,10 @@ class IoCostGate : public RqQos
     /** Groups with live gate state (shrinks on cgroup removal). */
     size_t trackedGroups() const { return states_.size(); }
 
+    /** Wake events that fired and admitted nothing (testing): each is
+     *  an event spent on a wake computed too early. */
+    uint64_t idleWakes() const { return idle_wakes_; }
+
     /** Total abs cost charged to `cg`'s subtree so far (testing). */
     double subtreeAbsOf(const cgroup::Cgroup *cg) const;
 
@@ -174,8 +178,9 @@ class IoCostGate : public RqQos
      *  to constrained groups. */
     void donateShares();
 
-    /** Try to pass queued requests of one group; reschedule otherwise. */
-    void drain(CgState &st);
+    /** Try to pass queued requests of one group; reschedule otherwise.
+     *  Returns how many it passed. */
+    size_t drain(CgState &st);
 
     /** Admission test + charge for one (op, sequential, size) I/O. */
     bool tryCharge(CgState &st, OpType op, bool sequential, uint32_t size);
@@ -199,6 +204,7 @@ class IoCostGate : public RqQos
     double vnow_ = 0.0; //!< device virtual clock (ns)
     SimTime vnow_updated_ = 0;
     size_t active_count_ = 0;
+    uint64_t idle_wakes_ = 0;
 
     /** Share cache validity: recompute lazily when the active set flips
      *  (dirty flag) or any cgroup knob/topology changed (tree version),

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 
 #include "common/strings.hh"
 
@@ -36,18 +35,6 @@ parseDouble(const std::string &text)
     if (end == nullptr || *end != '\0' || !std::isfinite(v))
         return std::nullopt;
     return v;
-}
-
-/** A µs value as SimTime ns; nullopt when it does not fit. */
-std::optional<SimTime>
-parseUsAsNs(const std::string &text)
-{
-    auto parsed = parseUint(text);
-    constexpr uint64_t kMaxUs =
-        static_cast<uint64_t>(std::numeric_limits<SimTime>::max()) / 1000;
-    if (!parsed || *parsed > kMaxUs)
-        return std::nullopt;
-    return usToNs(static_cast<int64_t>(*parsed));
 }
 
 } // namespace
@@ -117,7 +104,7 @@ parseIoLatency(const std::string &text)
         if (!splitKeyValue(token, key, value))
             return std::nullopt;
         if (key == "target") {
-            auto target = parseUsAsNs(value);
+            auto target = parseNs(value, usToNs(1));
             if (!target)
                 return std::nullopt;
             out.target = *target;
@@ -193,7 +180,7 @@ parseIoCostQos(const std::string &text, IoCostQos base)
             continue;
         }
         if (key == "rlat" || key == "wlat") {
-            auto lat = parseUsAsNs(value);
+            auto lat = parseNs(value, usToNs(1));
             if (!lat)
                 return std::nullopt;
             (key == "rlat" ? out.rlat : out.wlat) = *lat;

@@ -79,6 +79,15 @@ parseUint(std::string_view text)
     return value;
 }
 
+std::optional<int64_t>
+parseNs(std::string_view text, int64_t unit_ns)
+{
+    auto parsed = parseUint(text);
+    if (!parsed || *parsed > static_cast<uint64_t>(INT64_MAX / unit_ns))
+        return std::nullopt;
+    return static_cast<int64_t>(*parsed) * unit_ns;
+}
+
 std::optional<uint64_t>
 parseSize(std::string_view text, std::optional<uint64_t> max_value)
 {

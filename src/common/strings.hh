@@ -37,6 +37,13 @@ std::optional<uint64_t> parseSize(std::string_view text,
 /** Parse a plain non-negative base-10 integer. */
 std::optional<uint64_t> parseUint(std::string_view text);
 
+/**
+ * Parse a plain non-negative base-10 count of `unit_ns`-ns units (e.g.
+ * ms: 1000000) as ns. Returns nullopt on malformed input or when the ns
+ * do not fit an int64_t (SimTime).
+ */
+std::optional<int64_t> parseNs(std::string_view text, int64_t unit_ns);
+
 /** Format a byte count as a compact human-readable string ("1.5GiB"). */
 std::string formatBytes(uint64_t bytes);
 

@@ -47,14 +47,16 @@ class CpuCore
     uint32_t id() const { return id_; }
 
     /**
-     * Enqueue `duration` ns of CPU work for `owner`; `done` fires when the
-     * work retires. Returns the retire time.
+     * Occupy the core with `duration` ns of work for `owner` without
+     * scheduling an event, for work nothing waits on (a submitter's lock
+     * spin). Accounts busy time, the work item and the context switch
+     * exactly as `charge` does. Returns the retire time.
      */
     SimTime
-    charge(TaskId owner, SimTime duration, sim::SmallCallback done)
+    book(TaskId owner, SimTime duration)
     {
         if (duration < 0)
-            panic("CpuCore::charge: negative duration");
+            panic("CpuCore: negative duration");
         SimTime start = std::max(sim_.now(), busy_until_);
         busy_until_ = start + duration;
         busy_ns_ += duration;
@@ -63,8 +65,19 @@ class CpuCore
             ++context_switches_;
             last_owner_ = owner;
         }
-        sim_.at(busy_until_, std::move(done));
         return busy_until_;
+    }
+
+    /**
+     * Enqueue `duration` ns of CPU work for `owner`; `done` fires when the
+     * work retires. Returns the retire time.
+     */
+    SimTime
+    charge(TaskId owner, SimTime duration, sim::SmallCallback done)
+    {
+        SimTime end = book(owner, duration);
+        sim_.at(end, std::move(done));
+        return end;
     }
 
     /** Time at which currently queued work drains. */

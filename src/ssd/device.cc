@@ -217,16 +217,21 @@ SsdDevice::finishRead(ReadState *state)
 {
     // The controller latency is per-request pipeline latency, not link
     // occupancy: completion fires controller_latency after the DMA, but
-    // the link is free for the next transfer immediately.
+    // the link is free for the next transfer immediately. The link is
+    // FIFO with a service time known now, so its end is booked here and
+    // the completion is the request's only event past the channel. The
+    // fold stops at the link: the die and channel stages before it stay
+    // events, because a request reaches the channel when its die
+    // finishes and the link when its last channel transfer does, and
+    // those orders across dies and channels are known only then.
     SimTime xfer = transferTime(state->size, cfg_.link_bw);
-    link_.enqueue(xfer, [this, state] {
-        sim_.after(cfg_.controller_latency, [this, state] {
-            bytes_read_ += state->size;
-            ++reads_completed_;
-            Callback done = std::move(state->done);
-            read_states_.release(state);
-            done();
-        });
+    SimTime link_end = link_.book(xfer);
+    sim_.at(link_end + cfg_.controller_latency, [this, state] {
+        bytes_read_ += state->size;
+        ++reads_completed_;
+        Callback done = std::move(state->done);
+        read_states_.release(state);
+        done();
     });
 }
 
@@ -247,12 +252,13 @@ SsdDevice::submitFlashWrite(uint64_t offset, uint32_t size, Callback done)
     admit->size = size;
     admit->done = std::move(done);
 
+    // As for reads: the link end is booked, and the cache admission is
+    // one event at link end + controller latency.
     SimTime xfer = transferTime(size, cfg_.link_bw);
-    link_.enqueue(xfer, [this, admit] {
-        sim_.after(cfg_.controller_latency, [this, admit] {
-            cache_wait_.push_back(admit);
-            tryAdmitWrites();
-        });
+    SimTime link_end = link_.book(xfer);
+    sim_.at(link_end + cfg_.controller_latency, [this, admit] {
+        cache_wait_.push_back(admit);
+        tryAdmitWrites();
     });
 }
 

@@ -6,7 +6,10 @@
  * Because service is strictly FIFO and service times are known at enqueue
  * time, the server needs no explicit queue: it tracks the time at which it
  * drains (`busyUntil`) and schedules each job's completion directly. This
- * keeps the event count at one event per job.
+ * keeps the event count at one event per job — or none, when the caller
+ * folds the job's end into a later event it schedules anyway (`book`):
+ * the host link's end plus the controller latency is one completion
+ * event, not a link event and a delay event.
  */
 
 #ifndef ISOL_SSD_RESOURCE_HH
@@ -33,11 +36,12 @@ class FifoServer
     FifoServer &operator=(const FifoServer &) = delete;
 
     /**
-     * Enqueue a job taking `service` ns; `done` fires when it completes.
-     * Returns the completion time.
+     * Book a job taking `service` ns without scheduling an event: the
+     * server is occupied exactly as by `enqueue`. Returns the completion
+     * time, for the caller to schedule whatever follows.
      */
     SimTime
-    enqueue(SimTime service, sim::SmallCallback done)
+    book(SimTime service)
     {
         if (service < 0)
             panic("FifoServer: negative service time");
@@ -45,8 +49,19 @@ class FifoServer
         busy_until_ = start + service;
         busy_ns_ += service;
         ++jobs_;
-        sim_.at(busy_until_, std::move(done));
         return busy_until_;
+    }
+
+    /**
+     * Enqueue a job taking `service` ns; `done` fires when it completes.
+     * Returns the completion time.
+     */
+    SimTime
+    enqueue(SimTime service, sim::SmallCallback done)
+    {
+        SimTime end = book(service);
+        sim_.at(end, std::move(done));
+        return end;
     }
 
     /** Time at which the server drains (may be in the past when idle). */

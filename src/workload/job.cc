@@ -202,9 +202,10 @@ FioJob::issueNow(SimTime issue_start)
 
     // Spin on the scheduler lock (MQ-DL/BFQ): the wait burns this
     // thread's CPU in parallel with the request waiting for the lock.
+    // Nothing waits on the spin's end, so it is booked without an event.
     SimTime spin = bdev_.submitSpinTime();
     if (spin > 0)
-        core_.charge(task_, spin, [] {});
+        core_.book(task_, spin);
 
     slot->issue_start = issue_start;
     blk::Request &req = slot->req;

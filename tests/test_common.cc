@@ -96,6 +96,18 @@ TEST(Strings, ParseUint)
     EXPECT_FALSE(parseUint("99999999999999999999999").has_value());
 }
 
+TEST(Strings, ParseNsRejectsWhatDoesNotFit)
+{
+    EXPECT_EQ(parseNs("300", msToNs(1)), msToNs(300));
+    EXPECT_EQ(parseNs("0", usToNs(1)), 0);
+    EXPECT_FALSE(parseNs("12x", msToNs(1)).has_value());
+    // The largest count whose ns fit, and the next one.
+    EXPECT_EQ(parseNs("9223372036854", msToNs(1)),
+              int64_t{9223372036854} * msToNs(1));
+    EXPECT_FALSE(parseNs("9223372036855", msToNs(1)).has_value());
+    EXPECT_FALSE(parseNs("18446744073709551615", msToNs(1)).has_value());
+}
+
 TEST(Strings, ParseSizeSuffixes)
 {
     EXPECT_EQ(parseSize("64"), 64u);

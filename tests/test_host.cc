@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -64,6 +65,31 @@ TEST(CpuCore, BacklogReflectsQueuedWork)
     core.charge(1, 500, [] {});
     core.charge(1, 500, [] {});
     EXPECT_EQ(core.backlog(), 1000);
+}
+
+TEST(CpuCore, BookMatchesChargeWithoutAnEvent)
+{
+    sim::Simulator booked_sim;
+    sim::Simulator charged_sim;
+    CpuCore booked(booked_sim, 0);
+    CpuCore charged(charged_sim, 0);
+    const std::vector<std::pair<TaskId, SimTime>> work = {
+        {1, 100}, {1, 20}, {2, 0}, {1, 50}};
+    for (const auto &[owner, duration] : work) {
+        EXPECT_EQ(booked.book(owner, duration),
+                  charged.charge(owner, duration, [] {}));
+    }
+    EXPECT_TRUE(booked_sim.idle());
+    EXPECT_EQ(booked.busyUntil(), charged.busyUntil());
+    EXPECT_EQ(booked.busyNs(), charged.busyNs());
+    EXPECT_EQ(booked.workItems(), charged.workItems());
+    EXPECT_EQ(booked.contextSwitches(), charged.contextSwitches());
+    EXPECT_EQ(booked.contextSwitches(), 3u);
+    // Booked work delays later charged work like charged work does.
+    SimTime retired = 0;
+    booked.charge(2, 30, [&] { retired = booked_sim.now(); });
+    booked_sim.runAll();
+    EXPECT_EQ(retired, 200);
 }
 
 TEST(CpuSet, RoundRobinAssignment)

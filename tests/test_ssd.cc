@@ -76,6 +76,27 @@ TEST(FifoServer, BacklogReporting)
     EXPECT_EQ(server.backlog(), 100);
 }
 
+TEST(FifoServer, BookMatchesEnqueueWithoutAnEvent)
+{
+    sim::Simulator booked_sim;
+    sim::Simulator queued_sim;
+    FifoServer booked(booked_sim);
+    FifoServer queued(queued_sim);
+    for (SimTime service : {100, 0, 50}) {
+        EXPECT_EQ(booked.book(service), queued.enqueue(service, [] {}));
+        EXPECT_EQ(booked.busyUntil(), queued.busyUntil());
+    }
+    EXPECT_TRUE(booked_sim.idle());
+    EXPECT_EQ(booked.busyNs(), queued.busyNs());
+    EXPECT_EQ(booked.jobs(), queued.jobs());
+    EXPECT_EQ(booked.backlog(), 150);
+    // A job booked after an idle gap starts fresh, like an enqueued one.
+    booked_sim.at(1000, [&] { EXPECT_EQ(booked.book(10), 1010); });
+    booked_sim.runAll();
+    EXPECT_EQ(booked.busyNs(), 160);
+    EXPECT_EQ(booked.jobs(), 4u);
+}
+
 TEST(Ftl, GeometryDerivation)
 {
     SsdConfig cfg = tinyFlash();

@@ -194,15 +194,15 @@ parseApp(const std::string &text)
                 usageError("bad rate '" + value + "'");
             app.spec.rate_bps = *parsed;
         } else if (key == "start") {
-            auto parsed = parseUint(value);
+            auto parsed = parseNs(value, msToNs(1));
             if (!parsed)
                 usageError("bad start '" + value + "'");
-            app.spec.start_time = msToNs(static_cast<int64_t>(*parsed));
+            app.spec.start_time = *parsed;
         } else if (key == "dur") {
-            auto parsed = parseUint(value);
+            auto parsed = parseNs(value, msToNs(1));
             if (!parsed)
                 usageError("bad dur '" + value + "'");
-            app.spec.duration = msToNs(static_cast<int64_t>(*parsed));
+            app.spec.duration = *parsed;
         } else if (key == "count") {
             auto parsed = parseUint(value);
             if (!parsed || *parsed == 0)
@@ -281,15 +281,15 @@ main(int argc, char **argv)
             else
                 usageError("unknown --device (flash|optane)");
         } else if (arg == "--duration") {
-            auto parsed = parseUint(next_value(i, "--duration"));
+            auto parsed = parseNs(next_value(i, "--duration"), msToNs(1));
             if (!parsed || *parsed == 0)
                 usageError("bad --duration");
-            cfg.duration = msToNs(static_cast<int64_t>(*parsed));
+            cfg.duration = *parsed;
         } else if (arg == "--warmup") {
-            auto parsed = parseUint(next_value(i, "--warmup"));
+            auto parsed = parseNs(next_value(i, "--warmup"), msToNs(1));
             if (!parsed)
                 usageError("bad --warmup");
-            cfg.warmup = msToNs(static_cast<int64_t>(*parsed));
+            cfg.warmup = *parsed;
         } else if (arg == "--precondition") {
             cfg.precondition = true;
         } else if (arg == "--seed") {
@@ -345,8 +345,9 @@ main(int argc, char **argv)
                     usageError("app '" + spec.name +
                                "' starts at or after --duration");
                 }
+                // Compared as a difference: start + dur may not fit.
                 if (spec.duration == 0 ||
-                    spec.start_time + spec.duration > cfg.duration) {
+                    spec.duration > cfg.duration - spec.start_time) {
                     spec.duration = cfg.duration - spec.start_time;
                 }
                 std::string name = spec.name;

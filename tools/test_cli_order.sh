@@ -6,7 +6,9 @@
 #   2. class= is the preset the other app fields override, so a field
 #      written before it (bs=) still counts.
 # It also requires an app that starts at or after --duration to be a
-# usage error (exit 2), whichever of the two comes first.
+# usage error (exit 2), whichever of the two comes first, and so is a
+# time in ms whose ns do not fit SimTime (--duration, --warmup, start=,
+# dur=).
 #
 # Usage: tools/test_cli_order.sh path/to/isolbench
 set -eu
@@ -30,16 +32,20 @@ RUN="--knob none --duration 300 --warmup 100"
 same "$RUN --app $APP,bs=128k" \
      "$RUN --app name=a,bs=128k,class=batch,cgroup=a"
 
-late() {
+usage() {
     status=0
     "$CLI" $1 >/dev/null 2>&1 || status=$?
     if [ "$status" -ne 2 ]; then
-        printf 'app past --duration: want exit 2, got %s:\n  %s\n' \
+        printf 'want usage error (exit 2), got %s:\n  %s\n' \
             "$status" "$1" >&2
         exit 1
     fi
 }
 
-late "$RUN --app $APP,start=500"
-late "--knob none --warmup 100 --app $APP,start=300 --duration 300"
+usage "$RUN --app $APP,start=500"
+usage "--knob none --warmup 100 --app $APP,start=300 --duration 300"
+usage "--knob none --duration 18446744073709551615 --app $APP"
+usage "--knob none --duration 300 --warmup 18446744073709551 --app $APP"
+usage "$RUN --app $APP,start=18446744073709551"
+usage "$RUN --app $APP,dur=18446744073709551"
 echo "cli order: OK"
