@@ -28,12 +28,14 @@ Ftl::Ftl(const SsdConfig &cfg)
     if (num_dies_ == 0 || num_dies_ > 256)
         fatal("Ftl: die count must be in [1, 256]");
 
+    // All clear: every read resolves to its stripe location until a
+    // host write sets its chunk's bit (4 KiB for 8 GiB of 4 KiB pages).
+    written_.assign(chunkWord(num_lpns_ + kChunkLpns * 64 - 1), 0);
+
     // Phase-change media (Optane-like) have no FTL: in-place updates, no
     // GC. Keep only the stripe-mapping fallback.
-    if (cfg_.medium != MediumType::kFlash) {
-        mapping_.clear();
+    if (cfg_.medium != MediumType::kFlash)
         return;
-    }
 
     if (blocks_per_die_ < kGcReservedBlocks + 4)
         fatal("Ftl: too few blocks per die; raise capacity or OP");
@@ -60,9 +62,6 @@ Ftl::Ftl(const SsdConfig &cfg)
         kGcReservedBlocks + 1,
         std::min(configured, spare_blocks_ * 3 / 5));
 
-    mapping_.assign(num_lpns_, kUnmappedEntry);
-    p2l_.assign(size_t{num_dies_} * blocks_per_die_ * pages_per_block_,
-                kUnmapped);
     dies_.resize(num_dies_);
     for (auto &die : dies_) {
         die.blocks.resize(blocks_per_die_);
@@ -90,8 +89,8 @@ Ftl::lookupRead(uint64_t lpn) const
 {
     if (lpn >= num_lpns_)
         lpn %= num_lpns_;
-    uint32_t entry =
-        mapping_.empty() ? kUnmappedEntry : mapping_[lpn];
+    // A clear chunk bit proves `lpn` unmapped without loading its entry.
+    uint32_t entry = chunkWritten(lpn) ? mapping_[lpn] : kUnmappedEntry;
     if (entry == kUnmappedEntry) {
         // Never-written data: deterministic stripe placement.
         return PhysLoc{static_cast<uint32_t>(lpn % num_dies_), 0, 0};
@@ -113,6 +112,8 @@ Ftl::hostWriteStalled(uint32_t die) const
 void
 Ftl::invalidate(uint64_t lpn)
 {
+    if (!chunkWritten(lpn))
+        return; // no lpn in the chunk is mapped; the maps may not exist
     uint32_t entry = mapping_[lpn];
     if (entry == kUnmappedEntry)
         return;
@@ -150,6 +151,13 @@ Ftl::commitHostWrite(uint64_t lpn, uint32_t die)
 {
     if (lpn >= num_lpns_)
         lpn %= num_lpns_;
+    if (mapping_.empty()) {
+        // First host write: allocate the maps now, so a drive that is
+        // only ever read never pays for them.
+        mapping_.assign(num_lpns_, kUnmappedEntry);
+        p2l_.assign(size_t{num_dies_} * blocks_per_die_ * pages_per_block_,
+                    kUnmapped);
+    }
     invalidate(lpn);
     PhysLoc loc = allocSlot(die, /*gc=*/false);
     if (loc.block == kNoBlock)
@@ -157,6 +165,7 @@ Ftl::commitHostWrite(uint64_t lpn, uint32_t die)
     slots(die, loc.block)[loc.page] = static_cast<uint32_t>(lpn);
     ++dies_[die].blocks[loc.block].valid;
     mapping_[lpn] = pack(die, loc.block, loc.page);
+    written_[chunkWord(lpn)] |= chunkMask(lpn);
     ++host_pages_written_;
     return loc;
 }
@@ -305,11 +314,13 @@ Ftl::instantWrite(uint64_t lpn)
 {
     if (lpn >= num_lpns_)
         lpn %= num_lpns_;
-    // Invalidate first so GC sees the dead page if it must run now.
-    noteOverwrite(lpn);
     uint32_t die = takeHostWriteDie();
-    if (hostWriteStalled(die))
+    if (hostWriteStalled(die)) {
+        // Invalidate first so GC sees the dead page; otherwise
+        // commitHostWrite() invalidates it.
+        invalidate(lpn);
         instantGc(die);
+    }
     commitHostWrite(lpn, die);
 }
 
@@ -345,13 +356,37 @@ Ftl::checkInvariants(std::string *error) const
     if (cfg_.medium != MediumType::kFlash)
         return true;
 
-    // Every mapped LPN's slot must point back at it.
+    if (mapping_.empty()) {
+        // No host write yet: nothing may be written or marked.
+        for (uint64_t lpn = 0; lpn < num_lpns_; lpn += kChunkLpns) {
+            if (chunkWritten(lpn))
+                return fail(strCat("chunk of lpn ", lpn,
+                                   " marked written before any write"));
+        }
+        for (uint32_t die = 0; die < num_dies_; ++die) {
+            const Die &d = dies_[die];
+            for (uint32_t b = 0; b < blocks_per_die_; ++b) {
+                if (d.blocks[b].used != 0 || d.blocks[b].valid != 0)
+                    return fail(strCat("die ", die, " block ", b,
+                                       " written with no maps"));
+            }
+            if (d.free_blocks.size() != blocks_per_die_)
+                return fail(strCat("die ", die, " free list short"));
+        }
+        return true;
+    }
+
+    // Every mapped LPN's slot must point back at it, and its chunk must
+    // be marked written (a clear bit would hide it from reads).
     uint64_t mapped = 0;
     for (uint64_t lpn = 0; lpn < num_lpns_; ++lpn) {
         uint32_t entry = mapping_[lpn];
         if (entry == kUnmappedEntry)
             continue;
         ++mapped;
+        if (!chunkWritten(lpn))
+            return fail(strCat("lpn ", lpn, " mapped in a chunk marked "
+                               "unwritten"));
         PhysLoc loc = unpack(entry);
         if (loc.die >= num_dies_ || loc.block >= blocks_per_die_ ||
             loc.page >= pages_per_block_) {

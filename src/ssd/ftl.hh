@@ -13,7 +13,11 @@
  * Layout: the forward map holds one packed 32-bit (die, block, page)
  * entry per lpn; the reverse (P2L) map is one flat array of 32-bit lpns,
  * one per physical page slot, indexed block-major so a block's slots are
- * contiguous. Per-block metadata is just {used, valid}.
+ * contiguous. Per-block metadata is just {used, valid}. Both maps are
+ * allocated at the first host write, and a written-chunk summary (one
+ * bit per kChunkLpns lpns, set at each host write and never cleared)
+ * lets reads of never-written chunks skip the forward map: on a fresh
+ * drive a read touches no per-lpn state at all.
  */
 
 #ifndef ISOL_SSD_FTL_HH
@@ -62,8 +66,18 @@ class Ftl
     bool
     mapped(uint64_t lpn) const
     {
-        return !mapping_.empty() &&
-               mapping_[lpn % num_lpns_] != kUnmappedEntry;
+        lpn %= num_lpns_;
+        return chunkWritten(lpn) && mapping_[lpn] != kUnmappedEntry;
+    }
+
+    /**
+     * Bytes held by the forward and reverse maps: 0 until the first host
+     * write (the written-chunk summary is not counted).
+     */
+    size_t
+    tableBytes() const
+    {
+        return (mapping_.capacity() + p2l_.capacity()) * sizeof(uint32_t);
     }
 
     /**
@@ -149,11 +163,26 @@ class Ftl
 
     /**
      * Verify internal consistency (testing): every mapped LPN points at
-     * a slot that points back; per-block valid counts match the mapping;
-     * free-list blocks are empty; block counts add up. Returns true when
-     * consistent; otherwise fills `error` with the first violation.
+     * a slot that points back and lies in a chunk the summary marks
+     * written; per-block valid counts match the mapping; free-list
+     * blocks are empty; block counts add up. Before the first host write
+     * (no maps yet) no block may be written and no summary bit set.
+     * Returns true when consistent; otherwise fills `error` with the
+     * first violation.
      */
     bool checkInvariants(std::string *error = nullptr) const;
+
+    /**
+     * Mutation hook for negative tests: clear the summary bit of `lpn`'s
+     * chunk, as a lost update would — the corruption checkInvariants()
+     * must catch.
+     */
+    void
+    debugClearChunkBit(uint64_t lpn)
+    {
+        lpn %= num_lpns_;
+        written_[chunkWord(lpn)] &= ~chunkMask(lpn);
+    }
 
     // --- Statistics ---
 
@@ -181,6 +210,8 @@ class Ftl
     }
 
   private:
+    /** Lpns per written-chunk summary bit. */
+    static constexpr uint64_t kChunkLpns = 64;
     static constexpr uint32_t kNoBlock = UINT32_MAX;
     static constexpr uint32_t kUnmapped = UINT32_MAX; //!< dead P2L slot
 
@@ -218,6 +249,26 @@ class Ftl
                (size_t{die} * blocks_per_die_ + block) * pages_per_block_;
     }
 
+    /**
+     * True when some lpn in `lpn`'s chunk has had a host write. Exact in
+     * one direction: a clear bit proves the whole chunk unmapped, since
+     * only commitHostWrite() maps an lpn and GC moves only mapped ones.
+     * `lpn` must be < num_lpns_.
+     */
+    bool
+    chunkWritten(uint64_t lpn) const
+    {
+        return (written_[chunkWord(lpn)] & chunkMask(lpn)) != 0;
+    }
+
+    /** Summary word and bit of `lpn`'s chunk. */
+    static size_t chunkWord(uint64_t lpn) { return lpn / kChunkLpns / 64; }
+    static uint64_t
+    chunkMask(uint64_t lpn)
+    {
+        return uint64_t{1} << (lpn / kChunkLpns % 64);
+    }
+
     /** Invalidate the mapping entry of `lpn` if present. */
     void invalidate(uint64_t lpn);
 
@@ -246,9 +297,13 @@ class Ftl
     uint32_t spare_blocks_ = 0;
     uint32_t gc_start_free_ = 2;
 
-    std::vector<uint32_t> mapping_; //!< lpn -> packed loc (kUnmappedEntry)
+    //! lpn -> packed loc (kUnmappedEntry); empty until the first write
+    std::vector<uint32_t> mapping_;
     static constexpr uint32_t kUnmappedEntry = UINT32_MAX;
-    std::vector<uint32_t> p2l_; //!< slot -> lpn (kUnmapped), see slots()
+    //! slot -> lpn (kUnmapped), see slots(); empty until the first write
+    std::vector<uint32_t> p2l_;
+    //! one bit per kChunkLpns lpns: set once any lpn in it is written
+    std::vector<uint64_t> written_;
     std::vector<Die> dies_;
 
     uint32_t write_rr_ = 0;

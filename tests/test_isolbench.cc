@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "isolbench/d1_overhead.hh"
@@ -44,6 +45,29 @@ TEST(Scenario, BuildsAndRuns)
     EXPECT_GT(scenario.app(a).totalIos(), 0u);
     EXPECT_GT(scenario.aggregateGiBs(), 0.0);
     EXPECT_GT(scenario.cpuUtilization(), 0.0);
+}
+
+TEST(Scenario, ReadOnlyRunLeavesTheFtlMapsUnallocated)
+{
+    // Random reads of a fresh drive resolve from the FTL's written-chunk
+    // summary; a read that loaded the forward map would need it
+    // allocated. A writer is the control: its first write allocates.
+    auto run = [](OpType op) {
+        ScenarioConfig cfg;
+        cfg.knob = Knob::kIoCost;
+        cfg.duration = msToNs(200);
+        cfg.warmup = msToNs(50);
+        Scenario scenario(cfg);
+        scenario.addApp(workload::batchApp("a", msToNs(200)), "a");
+        workload::JobSpec spec = workload::lcApp("b", msToNs(200));
+        spec.op = op;
+        scenario.addApp(std::move(spec), "b");
+        scenario.run();
+        EXPECT_GT(scenario.app(0).totalIos(), 0u);
+        return scenario.ssd(0).ftl().tableBytes();
+    };
+    EXPECT_EQ(run(OpType::kRead), 0u);
+    EXPECT_GT(run(OpType::kWrite), 0u);
 }
 
 TEST(Scenario, AppsShareNamedCgroups)

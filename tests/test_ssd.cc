@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/types.hh"
 #include "sim/simulator.hh"
 #include "ssd/config.hh"
@@ -232,6 +233,169 @@ TEST(Ftl, RejectsBadGeometry)
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(Ftl, FreshDriveHoldsNoMapsUntilTheFirstWrite)
+{
+    SsdConfig cfg = tinyFlash();
+    Ftl ftl(cfg);
+    EXPECT_EQ(ftl.tableBytes(), 0u);
+    // Reads, mapped() probes and overwrite notes of never-written lpns
+    // resolve from the summary alone.
+    for (uint64_t lpn = 0; lpn < cfg.numLogicalPages(); ++lpn) {
+        PhysLoc loc = ftl.lookupRead(lpn);
+        ASSERT_EQ(loc.die, lpn % ftl.numDies()) << "lpn " << lpn;
+        ASSERT_EQ(loc.block, 0u);
+        ASSERT_EQ(loc.page, 0u);
+        ASSERT_FALSE(ftl.mapped(lpn));
+    }
+    ftl.noteOverwrite(5);
+    EXPECT_EQ(ftl.tableBytes(), 0u);
+    std::string error;
+    EXPECT_TRUE(ftl.checkInvariants(&error)) << error;
+
+    ftl.commitHostWrite(5, ftl.takeHostWriteDie());
+    const uint64_t slots = uint64_t{ftl.numDies()} * ftl.blocksPerDie() *
+                           cfg.pages_per_block;
+    EXPECT_EQ(ftl.tableBytes(),
+              (cfg.numLogicalPages() + slots) * sizeof(uint32_t));
+    EXPECT_TRUE(ftl.mapped(5));
+    EXPECT_FALSE(ftl.mapped(4)); // unwritten neighbour in a written chunk
+    EXPECT_TRUE(ftl.checkInvariants(&error)) << error;
+}
+
+TEST(Ftl, OptaneHoldsNoMaps)
+{
+    Ftl ftl(optaneLike());
+    EXPECT_EQ(ftl.tableBytes(), 0u);
+    EXPECT_FALSE(ftl.mapped(3));
+    EXPECT_EQ(ftl.lookupRead(3).die, 3 % ftl.numDies());
+    std::string error;
+    EXPECT_TRUE(ftl.checkInvariants(&error)) << error;
+}
+
+// What the FTL must answer for one lpn, learnt from the outside: whether
+// it is mapped and, until GC may have moved it, where.
+struct RefEntry
+{
+    bool mapped = false;
+    bool moved = false; //!< GC ran on its die since it was written
+    PhysLoc loc{};
+};
+
+// Also requires no two mapped lpns to share a physical page, which is
+// all the reference can say about where GC put an lpn.
+void
+expectMatchesReference(const Ftl &ftl, const std::vector<RefEntry> &ref,
+                       uint32_t pages_per_block)
+{
+    std::vector<bool> taken(size_t{ftl.numDies()} * ftl.blocksPerDie() *
+                            pages_per_block);
+    for (uint64_t lpn = 0; lpn < ref.size(); ++lpn) {
+        const RefEntry &want = ref[lpn];
+        PhysLoc got = ftl.lookupRead(lpn);
+        ASSERT_EQ(ftl.mapped(lpn), want.mapped) << "lpn " << lpn;
+        if (!want.mapped) {
+            ASSERT_EQ(got.die, lpn % ftl.numDies()) << "lpn " << lpn;
+            ASSERT_EQ(got.block, 0u) << "lpn " << lpn;
+            ASSERT_EQ(got.page, 0u) << "lpn " << lpn;
+            continue;
+        }
+        size_t slot =
+            (size_t{got.die} * ftl.blocksPerDie() + got.block) *
+                pages_per_block + got.page;
+        ASSERT_FALSE(taken[slot]) << "lpn " << lpn << " shares a page";
+        taken[slot] = true;
+        ASSERT_EQ(got.die, want.loc.die) << "lpn " << lpn; // GC stays
+        if (!want.moved) {
+            ASSERT_EQ(got.block, want.loc.block) << "lpn " << lpn;
+            ASSERT_EQ(got.page, want.loc.page) << "lpn " << lpn;
+        }
+    }
+}
+
+TEST(Ftl, SummaryGatedReadsMatchAReferenceMap)
+{
+    // A seeded mix of host writes, overwrite notes and GC steps over the
+    // lower half of a tiny drive: overwrite notes leave unmapped lpns in
+    // written chunks, and the upper half stays unwritten.
+    SsdConfig cfg = tinyFlash();
+    const uint64_t num_lpns = cfg.numLogicalPages();
+    Ftl ftl(cfg);
+    std::vector<RefEntry> ref(num_lpns);
+    Rng rng(23);
+
+    auto gcStep = [&](uint32_t die, uint32_t pages) {
+        if (ftl.gcHasMove(die)) {
+            ftl.gcCommitMove(die, pages);
+            for (RefEntry &e : ref)
+                e.moved |= e.mapped && e.loc.die == die;
+            return true;
+        }
+        if (ftl.victimReadyForErase(die)) {
+            ftl.gcCommitErase(die);
+            return true;
+        }
+        return false;
+    };
+
+    for (int op = 0; op < 60000; ++op) {
+        uint64_t lpn = rng.below(num_lpns / 2);
+        uint64_t kind = rng.below(16);
+        if (kind == 0) {
+            ftl.noteOverwrite(lpn);
+            ref[lpn] = RefEntry{};
+        } else if (kind == 1) {
+            auto die = static_cast<uint32_t>(rng.below(ftl.numDies()));
+            if (ftl.needsGc(die))
+                gcStep(die, 1 + static_cast<uint32_t>(rng.below(4)));
+        } else {
+            uint32_t die = ftl.takeHostWriteDie();
+            while (ftl.hostWriteStalled(die))
+                ASSERT_TRUE(gcStep(die, UINT32_MAX)) << "GC stuck";
+            PhysLoc loc = ftl.commitHostWrite(lpn, die);
+            ref[lpn] = RefEntry{true, false, loc};
+        }
+        if (op % 15000 == 14999)
+            expectMatchesReference(ftl, ref, cfg.pages_per_block);
+    }
+
+    // The mix reached every case the summary must tell apart: lpns at
+    // their written place, lpns GC moved, and unmapped lpns in chunks
+    // (64 lpns per summary bit) that hold a mapped one.
+    uint64_t placed = 0;
+    uint64_t moved = 0;
+    uint64_t neighbours = 0;
+    for (uint64_t chunk = 0; chunk < num_lpns / 64; ++chunk) {
+        uint64_t live = 0;
+        for (uint64_t lpn = chunk * 64; lpn < chunk * 64 + 64; ++lpn) {
+            live += ref[lpn].mapped;
+            placed += ref[lpn].mapped && !ref[lpn].moved;
+            moved += ref[lpn].moved;
+        }
+        if (live > 0)
+            neighbours += 64 - live;
+    }
+    EXPECT_GT(ftl.gcPagesMoved(), 0u);
+    EXPECT_GT(placed, 0u);
+    EXPECT_GT(moved, 0u);
+    EXPECT_GT(neighbours, 0u);
+    std::string error;
+    EXPECT_TRUE(ftl.checkInvariants(&error)) << error;
+}
+
+TEST(Ftl, InvariantsCatchAClearedSummaryBit)
+{
+    Ftl ftl(tinyFlash());
+    for (uint64_t lpn = 0; lpn < 300; lpn += 3)
+        ftl.commitHostWrite(lpn, ftl.takeHostWriteDie());
+    std::string error;
+    ASSERT_TRUE(ftl.checkInvariants(&error)) << error;
+    ftl.debugClearChunkBit(130);
+    EXPECT_FALSE(ftl.checkInvariants(&error));
+    EXPECT_NE(error.find("marked unwritten"), std::string::npos) << error;
+    // The lost bit hides lpn 129's mapping from reads.
+    EXPECT_FALSE(ftl.mapped(129));
 }
 
 // The micro-bench geometry: 256 MiB over 16 dies.

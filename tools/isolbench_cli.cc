@@ -14,8 +14,9 @@
  *   --cores <n>           CPU cores (default 10)
  *   --devices <n>         SSDs, apps round-robin (default 1)
  *   --device <flash|optane>
- *   --duration <ms>       run time (default 2000)
- *   --warmup <ms>         stats excluded before this (default 300)
+ *   --duration <ms>       run time (default 2000, at most 3600000)
+ *   --warmup <ms>         stats excluded before this (default 300,
+ *                         shorter than --duration)
  *   --precondition        steady-state fill before the run
  *   --seed <n>            RNG seed (default 1)
  *   --jobs <n>            sweep worker threads for parallel runners
@@ -74,6 +75,11 @@ struct KnobWrite
     std::string value;
 };
 
+// Longest --duration accepted. Each app keeps one 8-byte bandwidth bin
+// per 100 ms of simulated time from t = 0, so an hour costs 288 KB per
+// app; a duration near SimTime's limit would not fit in memory.
+constexpr SimTime kMaxDuration = secToNs(int64_t{3600});
+
 [[noreturn]] void
 usageError(const std::string &msg)
 {
@@ -93,7 +99,8 @@ printUsage()
         "options:\n"
         "  --knob none|mq-deadline|bfq|io.max|io.latency|io.cost|kyber\n"
         "  --cores N | --devices N | --device flash|optane\n"
-        "  --duration MS | --warmup MS | --precondition | --seed N\n"
+        "  --duration MS (at most 3600000, one hour) | --warmup MS\n"
+        "  --precondition | --seed N\n"
         "  --jobs N   (sweep worker threads; default hw concurrency)\n"
         "  --adversary queue-flood|gc-storm|square-wave|flush-storm|\n"
         "              slow-drain    (misbehaving tenant in cgroup 'adv')\n"
@@ -322,6 +329,10 @@ main(int argc, char **argv)
         }
     }
 
+    if (cfg.duration > kMaxDuration)
+        usageError("--duration exceeds one hour (3600000 ms)");
+    if (cfg.warmup >= cfg.duration)
+        usageError("--warmup must be shorter than --duration");
     if (apps.empty()) {
         printUsage();
         return 2;

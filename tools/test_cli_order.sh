@@ -6,9 +6,12 @@
 #   2. class= is the preset the other app fields override, so a field
 #      written before it (bs=) still counts.
 # It also requires an app that starts at or after --duration to be a
-# usage error (exit 2), whichever of the two comes first, and so is a
-# time in ms whose ns do not fit SimTime (--duration, --warmup, start=,
-# dur=).
+# usage error (exit 2), whichever of the two comes first, and so are a
+# --warmup not shorter than --duration, a --duration over its one-hour
+# ceiling, and a time in ms whose ns do not fit SimTime (--duration,
+# --warmup, start=, dur=). The over-long duration runs under a 1 GiB
+# address-space limit where the binary can start under one, so a run
+# that tries to allocate for it fails fast instead of eating memory.
 #
 # Usage: tools/test_cli_order.sh path/to/isolbench
 set -eu
@@ -48,4 +51,16 @@ usage "--knob none --duration 18446744073709551615 --app $APP"
 usage "--knob none --duration 300 --warmup 18446744073709551 --app $APP"
 usage "$RUN --app $APP,start=18446744073709551"
 usage "$RUN --app $APP,dur=18446744073709551"
+usage "--knob none --duration 300 --warmup 300 --app $APP"
+usage "--knob none --warmup 301 --app $APP --duration 300"
+usage "--knob none --duration 3600001 --app $APP"
+HUGE="--knob none --duration 9223372036854 \
+--app name=a,class=lc,start=9223372036853"
+# An ASan build cannot start under the limit (its shadow memory needs
+# terabytes of address space), so it runs the case without one.
+if (ulimit -v 1048576 && "$CLI" --help) >/dev/null 2>&1; then
+    (ulimit -v 1048576 && usage "$HUGE")
+else
+    usage "$HUGE"
+fi
 echo "cli order: OK"
