@@ -27,24 +27,6 @@
 namespace isol::bench
 {
 
-/**
- * Adversarial tenant selected with `--adversary` (kNone when absent).
- * Benches that support a chaos tenant read this after parseArgs().
- */
-inline workload::AdversaryKind &
-adversaryFlag()
-{
-    static workload::AdversaryKind kind = workload::AdversaryKind::kNone;
-    return kind;
-}
-
-/** Convenience reader for adversaryFlag(). */
-inline workload::AdversaryKind
-adversary()
-{
-    return adversaryFlag();
-}
-
 /** Wall-clock reading taken when parseArgs() ran (profiling only). */
 inline double &
 startMs()
@@ -58,14 +40,16 @@ startMs()
  * message so typos in long sweep invocations fail fast.
  *
  *   --jobs N              sweep worker threads (default: hw concurrency)
- *   --adversary NAME      add a misbehaving tenant (queue-flood, gc-storm,
- *                         square-wave, flush-storm, slow-drain) in benches
- *                         that support one
  *   --check-invariants    enable the runtime invariant checker in every
  *                         scenario of this process
+ *   --adversary NAME      add a misbehaving tenant (queue-flood, gc-storm,
+ *                         square-wave, flush-storm, slow-drain); accepted
+ *                         only when the bench passes `adversary`, where
+ *                         the parsed kind is stored
  */
 inline void
-parseArgs(int argc, char **argv)
+parseArgs(int argc, char **argv,
+          workload::AdversaryKind *adversary = nullptr)
 {
     startMs() = isolbench::sweep::monotonicMs();
     for (int i = 1; i < argc; ++i) {
@@ -78,7 +62,8 @@ parseArgs(int argc, char **argv)
                 std::exit(2);
             }
             isolbench::sweep::setDefaultJobs(static_cast<uint32_t>(*jobs));
-        } else if (std::strcmp(argv[i], "--adversary") == 0) {
+        } else if (adversary != nullptr &&
+                   std::strcmp(argv[i], "--adversary") == 0) {
             if (i + 1 >= argc) {
                 std::fprintf(stderr,
                              "%s: missing value for '--adversary'\n",
@@ -94,14 +79,15 @@ parseArgs(int argc, char **argv)
                              argv[0], argv[i]);
                 std::exit(2);
             }
-            adversaryFlag() = *kind;
+            *adversary = *kind;
         } else if (std::strcmp(argv[i], "--check-invariants") == 0) {
             sim::setCheckInvariantsDefault(true);
         } else {
             std::fprintf(stderr,
                          "%s: unknown argument '%s' (supported: --jobs N"
-                         " --adversary NAME --check-invariants)\n",
-                         argv[0], argv[i]);
+                         " --check-invariants%s)\n",
+                         argv[0], argv[i],
+                         adversary != nullptr ? " --adversary NAME" : "");
             std::exit(2);
         }
     }

@@ -68,13 +68,12 @@ runPanel(const char *title, bool weighted,
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
-    bool quick = bench::quickMode();
     FairnessOptions opts;
+    bench::parseArgs(argc, argv, &opts.adversary);
+    bool quick = bench::quickMode();
     opts.repeats = quick ? 1 : 2;
     opts.duration = quick ? msToNs(800) : msToNs(1200);
     opts.warmup = quick ? msToNs(250) : msToNs(300);
-    opts.adversary = bench::adversary();
 
     std::printf("Fig. 5: bandwidth fairness scalability; uniform "
                 "workload, 4 batch-apps per cgroup\n");

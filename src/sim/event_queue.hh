@@ -2,37 +2,35 @@
  * @file
  * Discrete-event queue: the heart of the simulator.
  *
- * Events are (time, sequence, callback) triples ordered by time and, for
- * equal times, by insertion order so simulations are fully deterministic.
+ * Events are (time, callback) pairs ordered by time and, for equal
+ * times, by schedule order so simulations are fully deterministic.
  *
- * Layout: a hierarchical timing wheel (6 levels x 64 slots, 1 ns tick,
- * ~68.7 s span) over a slot arena, with a 4-ary heap as an overflow
- * ladder for events beyond the wheel horizon (or behind the cursor).
- * Schedule and cancel are O(1); pop is amortised O(1) for the clustered
- * short-horizon timers that dominate this DES. Wheel buckets are
- * intrusive singly-linked lists through the arena, with one 64-bit
- * occupancy bitmap per level, so finding the next bucket is a couple of
- * ctz instructions. The arena is split hot and cold: the 32-byte slots
- * that bucket walks and cascades touch hold only the ordering key, the
- * link and the generation tag, and the callbacks live in a parallel
- * vector that only schedule, cancel and pop touch.
+ * Layout: a hierarchical timing wheel (11 levels x 64 slots, 1 ns tick)
+ * over a slot arena. 64^11 > 2^63, so every SimTime has a bucket and the
+ * wheel is the only structure. Schedule and cancel are O(1); pop is
+ * amortised O(1) for the clustered short-horizon timers that dominate
+ * this DES. Wheel buckets are intrusive singly-linked lists through the
+ * arena, with one 64-bit occupancy bitmap per level, so finding the next
+ * bucket is a couple of ctz instructions. The arena is split hot and
+ * cold: the 24-byte slots that bucket walks and cascades touch hold only
+ * the time, the link and the generation tag, and the callbacks live in
+ * a parallel vector that only schedule, cancel and pop touch.
  *
- * Determinism: the minimum bucket's entries at its earliest time are
- * drained, in list order, into a `ready_` list, and settle() compares
- * the ready head against the ladder top with the full (when, seq) key.
- * List order is schedule order within one time (see drainMinBucket()),
- * so the observable pop order is exactly the (when, seq) order of a
- * comparison-based queue, byte for byte.
- * popIfAtOrBefore() settles once per event: it finds the head, checks
- * it against the caller's deadline and pops it in one visit.
+ * The wheel cursor is the time of the last pop. A pop finds the minimum
+ * bucket and its earliest live time, and only when that time is due does
+ * it move the cursor there, drain that time's entries, in list order,
+ * into a `ready_` list and cascade the rest of the bucket down. List
+ * order is schedule order within one time (see drainMinBucket()), so
+ * the pop order is exactly the (time, schedule order) order of a
+ * comparison-based queue, byte for byte, and no sequence number is kept.
  *
  * Slots carry generation tags, so an EventId is (slot, generation) and
  * cancellation is O(1): validate the tag, destroy the callback in place,
- * and let the dead entry fall out lazily when its bucket or heap key is
- * next visited. There is no side table — cancelling an id that already
- * fired is a tag mismatch, not a leaked marker — and `size()` is an
- * exact live count. Callbacks use SmallCallback so the pointer+id
- * captures the simulator schedules by the million never allocate.
+ * and let the dead entry fall out lazily when its bucket is next
+ * visited. There is no side table — cancelling an id that already fired
+ * is a tag mismatch, not a leaked marker — and `size()` is an exact live
+ * count. Callbacks use SmallCallback so the pointer+id captures the
+ * simulator schedules by the million never allocate.
  */
 
 #ifndef ISOL_SIM_EVENT_QUEUE_HH
@@ -43,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "sim/small_function.hh"
 
@@ -59,11 +58,9 @@ constexpr EventId kInvalidEventId = 0;
  * Time-ordered event queue with deterministic tie-breaking.
  *
  * The queue owns no notion of "now"; the Simulator drives it and maintains
- * the clock. The wheel keeps its own cursor, which only ever trails the
- * simulator clock: it advances to the time of the earliest live event
- * during settle(), so an event scheduled "in the past" relative to the
- * cursor (possible only through direct EventQueue use in tests) is routed
- * to the ladder and still pops in exact (when, seq) order.
+ * the clock. The wheel cursor is the time of the last pop, which never
+ * runs ahead of the simulator clock, and schedule() panics on a time
+ * before it.
  */
 class EventQueue
 {
@@ -74,15 +71,19 @@ class EventQueue
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    /** Schedule `cb` to fire at absolute time `when`. */
+    /**
+     * Schedule `cb` to fire at absolute time `when`, which must not be
+     * earlier than the last popped time.
+     */
     EventId
     schedule(SimTime when, Callback cb)
     {
+        if (when < cur_)
+            panic("EventQueue::schedule: time before the last pop");
         uint32_t slot = allocSlot();
         cbs_[slot] = std::move(cb);
         Slot &s = slots_[slot];
         s.when = when;
-        s.seq = next_seq_++;
         s.next = kNoSlot;
         s.state = State::kPending;
         place(slot, when);
@@ -108,7 +109,7 @@ class EventQueue
         if (s.state != State::kPending || s.gen != gen)
             return false;
         // Destroy the callback now (releases captures); the bucket entry
-        // or ladder key is dropped lazily when it is next visited.
+        // is dropped lazily when it is next visited.
         cbs_[slot].reset();
         s.state = State::kCancelled;
         ++s.gen; // a second cancel with the same id mismatches
@@ -128,12 +129,10 @@ class EventQueue
     {
         if (live_ == 0)
             return kSimTimeMax;
-        // Logically const: the set of live events is unchanged; settling
-        // only reorganises storage (cursor advance, cascades, lazy frees).
-        auto *self = const_cast<EventQueue *>(this);
-        return self->settle() == Source::kReady
-                   ? self->slots_[self->ready_[self->ready_head_]].when
-                   : self->ladder_.front().when;
+        // Logically const: finding the head only frees dead entries.
+        int level = -1;
+        uint32_t b = 0;
+        return const_cast<EventQueue *>(this)->findHead(level, b);
     }
 
     /**
@@ -141,27 +140,22 @@ class EventQueue
      * store its time in `when`, move its callback into `cb`, and return
      * true. Returns false, leaving the queue's live events and `cb`
      * untouched, when the queue is empty or its head is later than
-     * `deadline`. One settle serves both the check and the pop.
+     * `deadline`; a refused pop moves no live entry and not the cursor.
      */
     bool
     popIfAtOrBefore(SimTime deadline, SimTime &when, Callback &cb)
     {
         if (live_ == 0)
             return false;
-        uint32_t slot;
-        if (settle() == Source::kLadder) {
-            const Key top = ladder_.front();
-            if (top.when > deadline)
-                return false;
-            slot = top.slot;
-            ladderRemoveTop();
-        } else {
-            slot = ready_[ready_head_];
-            if (slots_[slot].when > deadline)
-                return false;
-            ++ready_head_;
-        }
-        when = slots_[slot].when;
+        int level = -1;
+        uint32_t b = 0;
+        const SimTime head = findHead(level, b);
+        if (head > deadline)
+            return false;
+        if (level >= 0)
+            drainMinBucket(level, b, head);
+        uint32_t slot = ready_[ready_head_++];
+        when = head;
         cb = std::move(cbs_[slot]);
         freeSlot(slot);
         --live_;
@@ -186,36 +180,24 @@ class EventQueue
   private:
     enum class State : uint8_t { kFree, kPending, kCancelled };
 
-    /** Where settle() found the earliest live event. */
-    enum class Source : uint8_t { kReady, kLadder };
-
     static constexpr int kLevelBits = 6; //!< 64 slots per level
-    static constexpr int kLevels = 6; //!< span 64^6 ns ~= 68.7 s
+    static constexpr int kLevels = 11; //!< 64^11 > 2^63: all of SimTime
     static constexpr uint32_t kSlotsPerLevel = 1u << kLevelBits;
     static constexpr uint32_t kSlotMask = kSlotsPerLevel - 1;
     static constexpr uint32_t kNoSlot = UINT32_MAX;
 
     /**
-     * Hot part of an arena entry: everything bucket walks, cascades and
-     * ladder strips read. Its callback is cbs_[slot].
+     * Hot part of an arena entry: everything bucket walks and cascades
+     * read. Its callback is cbs_[slot].
      */
     struct Slot
     {
         SimTime when = 0;
-        uint64_t seq = 0;
         uint32_t next = kNoSlot; //!< intrusive bucket link
         uint32_t gen = 0;
         State state = State::kFree;
     };
-    static_assert(sizeof(Slot) == 32, "hot slot must stay 32 bytes");
-
-    /** Overflow-ladder key; comparisons never touch the slot arena. */
-    struct Key
-    {
-        SimTime when;
-        uint64_t seq;
-        uint32_t slot;
-    };
+    static_assert(sizeof(Slot) == 24, "hot slot must stay 24 bytes");
 
     struct Bucket
     {
@@ -241,17 +223,11 @@ class EventQueue
         return true;
     }
 
-    static bool
-    before(const Key &a, const Key &b)
-    {
-        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
-    }
-
     /**
      * Wheel level for an event at `when` given the cursor: the index of
-     * the highest differing bit, divided by the per-level shift. kLevels
-     * and above means "beyond the horizon" (ladder). Precondition:
-     * when >= cur_ (both non-negative, so the casts are value-preserving).
+     * the highest differing bit, divided by the per-level shift; at most
+     * 62 / 6 = 10. Precondition: when >= cur_ (both non-negative, so the
+     * casts are value-preserving).
      */
     int
     levelFor(SimTime when) const
@@ -291,19 +267,11 @@ class EventQueue
         free_.push_back(slot);
     }
 
-    /** File `slot` into the wheel or, past the horizon, the ladder. */
+    /** File `slot` into the bucket its time has against the cursor. */
     void
     place(uint32_t slot, SimTime when)
     {
-        if (when < cur_) {
-            ladderPush(Key{when, slots_[slot].seq, slot});
-            return;
-        }
         int level = levelFor(when);
-        if (level >= kLevels) {
-            ladderPush(Key{when, slots_[slot].seq, slot});
-            return;
-        }
         uint32_t b = static_cast<uint32_t>(static_cast<uint64_t>(when) >>
                                            (kLevelBits * level)) &
                      kSlotMask;
@@ -315,62 +283,6 @@ class EventQueue
             slots_[bucket.tail].next = slot;
         bucket.tail = slot;
         occ_[level] |= uint64_t{1} << b;
-    }
-
-    void
-    ladderPush(Key key)
-    {
-        ladder_.push_back(key);
-        size_t i = ladder_.size() - 1;
-        while (i > 0) {
-            size_t parent = (i - 1) / 4;
-            if (!before(key, ladder_[parent]))
-                break;
-            ladder_[i] = ladder_[parent];
-            i = parent;
-        }
-        ladder_[i] = key;
-    }
-
-    void
-    ladderRemoveTop()
-    {
-        ladder_.front() = ladder_.back();
-        ladder_.pop_back();
-        if (ladder_.empty())
-            return;
-        Key key = ladder_.front();
-        size_t i = 0;
-        size_t n = ladder_.size();
-        for (;;) {
-            size_t first = i * 4 + 1;
-            if (first >= n)
-                break;
-            size_t best = first;
-            size_t last = first + 4 < n ? first + 4 : n;
-            for (size_t c = first + 1; c < last; ++c) {
-                if (before(ladder_[c], ladder_[best]))
-                    best = c;
-            }
-            if (!before(ladder_[best], key))
-                break;
-            ladder_[i] = ladder_[best];
-            i = best;
-        }
-        ladder_[i] = key;
-    }
-
-    /** Drop cancelled keys sitting at the top of the ladder. */
-    void
-    stripLadder()
-    {
-        while (!ladder_.empty()) {
-            Slot &s = slots_[ladder_.front().slot];
-            if (s.state == State::kPending)
-                break;
-            freeSlot(ladder_.front().slot);
-            ladderRemoveTop();
-        }
     }
 
     /** Advance the ready cursor over entries cancelled since the drain. */
@@ -391,49 +303,35 @@ class EventQueue
     }
 
     /**
-     * Move ladder entries that a cursor jump brought inside the wheel
-     * horizon back into the wheel (promotion), in (when, seq) order.
-     * Entries behind the cursor stay on the ladder and win pops via the
-     * (when, seq) compare.
+     * Time of the earliest live event, freeing dead entries on the way.
+     * `level` is -1 when the event heads `ready_`. Otherwise it sits in
+     * bucket (`level`, `b`), the lowest-level, lowest-index bucket with a
+     * live entry, which is not drained yet: live entries at one level
+     * all share the enclosing higher-level window, so slot order is time
+     * order and the first live bucket holds the minimum. A live ready
+     * head is the minimum: no live entry is earlier than the cursor, and
+     * entries scheduled at the cursor after the drain come after it.
+     * Precondition: live_ > 0.
      */
-    void
-    promoteLadder()
+    SimTime
+    findHead(int &level, uint32_t &b)
     {
-        for (;;) {
-            stripLadder();
-            if (ladder_.empty())
-                break;
-            const Key top = ladder_.front();
-            if (top.when < cur_ || levelFor(top.when) >= kLevels)
-                break;
-            ladderRemoveTop();
-            place(top.slot, top.when);
+        stripReady();
+        if (ready_head_ < ready_.size()) {
+            level = -1;
+            return slots_[ready_[ready_head_]].when;
         }
-    }
-
-    /**
-     * Find the lowest-level, lowest-index bucket holding a live entry,
-     * purging dead-only buckets on the way, and the earliest live time
-     * in it. Live entries at one level all share the enclosing
-     * higher-level window, so slot order is time order and the first
-     * live bucket holds the wheel minimum.
-     */
-    bool
-    findMinBucket(int &level_out, uint32_t &bucket_out, SimTime &min_when)
-    {
-        for (int level = 0; level < kLevels; ++level) {
+        SimTime min_when = kSimTimeMax;
+        for (level = 0; level < kLevels; ++level) {
             uint64_t occ = occ_[level];
             while (occ != 0) {
-                auto b = static_cast<uint32_t>(std::countr_zero(occ));
-                if (compactBucket(level, b, min_when)) {
-                    level_out = level;
-                    bucket_out = b;
-                    return true;
-                }
+                b = static_cast<uint32_t>(std::countr_zero(occ));
+                if (compactBucket(level, b, min_when))
+                    return min_when;
                 occ &= occ - 1;
             }
         }
-        return false;
+        panic("EventQueue: live count without a live entry");
     }
 
     /**
@@ -486,24 +384,19 @@ class EventQueue
      * returned true, and `ready_` is empty.
      *
      * `ready_` needs no sort: entries of one time meet in one bucket, in
-     * schedule (seq) order. Two invariants give this.
-     *  (P) Every live wheel entry sits in the bucket place() picks for
-     *      it against the current cursor. A drain moves the cursor from
-     *      c0 to the wheel minimum c1 and re-places the drained bucket.
+     * schedule order. Two invariants give this.
+     *  (P) Every live entry sits in the bucket place() picks for it
+     *      against the current cursor. Only a drain moves the cursor: from
+     *      c0 to the minimum c1, and it re-places the drained bucket.
      *      Any other entry E at level L shares with c0, and so with c1
      *      (c0 <= c1 <= E), every digit above L; had c1 also E's level-L
      *      digit, c1 would have sat in E's bucket, the one drained. So E
-     *      keeps its bucket. A jump moves the cursor only when the wheel
-     *      is empty. Hence all live wheel entries of one time share one
-     *      bucket.
-     *  (O) Within a bucket, entries of one time are in seq order.
-     *      schedule() appends the largest seq yet. A drain re-files one
-     *      bucket in list order, and by (P) no other bucket held those
-     *      times. Promotion pops the ladder in (when, seq) order, and
-     *      only after a jump into an empty wheel: c1 above was a wheel
-     *      entry, so a drain never changes the cursor's digits above the
-     *      wheel span and brings no ladder entry inside the horizon.
-     *      Entries behind the cursor never enter a bucket.
+     *      keeps its bucket. Hence all live entries of one time share
+     *      one bucket.
+     *  (O) Within a bucket, entries of one time are in schedule order.
+     *      schedule() appends at the tail, and a drain re-files one
+     *      bucket in list order while, by (P), no other bucket held
+     *      those times.
      */
     void
     drainMinBucket(int level, uint32_t b, SimTime min_when)
@@ -513,8 +406,7 @@ class EventQueue
         bucket.head = kNoSlot;
         bucket.tail = kNoSlot;
         occ_[level] &= ~(uint64_t{1} << b);
-        if (min_when > cur_)
-            cur_ = min_when;
+        cur_ = min_when;
 
         while (it != kNoSlot) {
             Slot &s = slots_[it];
@@ -528,63 +420,14 @@ class EventQueue
         }
     }
 
-    /**
-     * Bring the queue to a poppable state and report where the earliest
-     * live event sits. Precondition: live_ > 0. Amortised O(1): each
-     * event cascades at most kLevels times over its lifetime, and dead
-     * entries are freed the first time a scan meets them.
-     */
-    Source
-    settle()
-    {
-        for (;;) {
-            stripReady();
-            stripLadder();
-            if (ready_head_ < ready_.size()) {
-                // Entries scheduled after the drain share this `when`
-                // only with larger seq, and live wheel entries are never
-                // earlier than the drained minimum, so only the ladder
-                // (events behind the cursor) can beat the ready head.
-                if (ladder_.empty())
-                    return Source::kReady;
-                const Slot &rf = slots_[ready_[ready_head_]];
-                return before(ladder_.front(),
-                              Key{rf.when, rf.seq, 0})
-                           ? Source::kLadder
-                           : Source::kReady;
-            }
-            int level;
-            uint32_t b;
-            SimTime min_when = 0;
-            if (findMinBucket(level, b, min_when)) {
-                // The ladder top is either behind the cursor (wins by
-                // time) or beyond the horizon (loses to any wheel
-                // entry): the last jump promoted everything in between.
-                if (!ladder_.empty() && ladder_.front().when < cur_)
-                    return Source::kLadder;
-                drainMinBucket(level, b, min_when);
-                continue;
-            }
-            // Wheel empty: the earliest live event is on the ladder.
-            if (ladder_.front().when <= cur_)
-                return Source::kLadder;
-            // Jump the cursor to it and pull it (and its when-group)
-            // into the wheel so bucket bookkeeping stays in one place.
-            cur_ = ladder_.front().when;
-            promoteLadder();
-        }
-    }
-
     Bucket buckets_[kLevels][kSlotsPerLevel];
     uint64_t occ_[kLevels] = {};
-    std::vector<Slot> slots_; //!< hot arena: key, link, generation
+    std::vector<Slot> slots_; //!< hot arena: time, link, generation
     std::vector<Callback> cbs_; //!< cold arena: cbs_[slot] is its callback
     std::vector<uint32_t> free_;
-    std::vector<Key> ladder_; //!< 4-ary heap: far-future / behind-cursor
-    std::vector<uint32_t> ready_; //!< current when-group, in seq order
+    std::vector<uint32_t> ready_; //!< current when-group, in schedule order
     size_t ready_head_ = 0;
-    SimTime cur_ = 0; //!< wheel cursor; trails the earliest live event
-    uint64_t next_seq_ = 0;
+    SimTime cur_ = 0; //!< wheel cursor: the time of the last pop
     size_t live_ = 0;
     size_t peak_depth_ = 0;
 };

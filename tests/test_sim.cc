@@ -137,20 +137,22 @@ TEST(EventQueue, RandomizedAgainstReferenceOrdering)
 {
     // Drive the timing wheel against a std::multimap reference
     // with a schedule/pop/cancel mix; pop order must match exactly
-    // (time-ordered, insertion-order tie-break).
+    // (time-ordered, insertion-order tie-break). Times fall in the 64 ns
+    // from the last popped one, so same-time groups are common.
     EventQueue q;
     std::multimap<std::pair<SimTime, uint64_t>, int> reference;
     Rng rng(99);
     uint64_t seq = 0;
     std::vector<std::pair<EventId, std::pair<SimTime, uint64_t>>> pending;
     int fired = 0;
+    SimTime last_popped = 0;
     std::vector<int> got;
     std::vector<int> want;
 
     for (int step = 0; step < 5000; ++step) {
         double dice = rng.uniform();
         if (dice < 0.55 || reference.empty()) {
-            auto when = static_cast<SimTime>(rng.below(64));
+            auto when = last_popped + static_cast<SimTime>(rng.below(64));
             int tag = static_cast<int>(seq);
             EventId id = q.schedule(when, [tag, &got] {
                 got.push_back(tag);
@@ -171,6 +173,7 @@ TEST(EventQueue, RandomizedAgainstReferenceOrdering)
             want.push_back(it->second);
             cb();
             ++fired;
+            last_popped = when;
             for (size_t i = 0; i < pending.size(); ++i) {
                 if (pending[i].second == it->first) {
                     pending.erase(pending.begin() +
@@ -227,22 +230,22 @@ TEST(EventQueue, PopIfAtOrBeforeAgainstReference)
     // Randomized: every pop attempt draws a deadline around the
     // reference head (at it, one tick before it, or near it), and the
     // head must pop exactly when its time is at or before the deadline.
-    // Times mix tight clusters (multi-entry ready groups), wheel levels,
-    // the ladder past the 2^36 ns horizon, and times behind the cursor.
+    // Times mix tight clusters (multi-entry ready groups), wheel levels
+    // 0-5, and `beyond` times 2^36 ns and more ahead, on levels 6-10.
     EventQueue q;
     std::map<std::pair<SimTime, uint64_t>, std::pair<EventId, int>>
         reference;
     Rng rng(4242);
     uint64_t seq = 0;
-    SimTime cursor = 0; // latest popped time; the wheel cursor is >= it
+    SimTime cursor = 0; // latest popped time: the wheel cursor
     SimTime last_popped = -1;
     std::vector<int> got;
     std::vector<int> want;
     int at_head = 0;
     int refused = 0;
     int ready_cancels = 0;
-    int behind = 0;
     int beyond = 0;
+    int top_level = 0;
 
     for (int step = 0; step < 20000; ++step) {
         double dice = rng.uniform();
@@ -253,18 +256,13 @@ TEST(EventQueue, PopIfAtOrBeforeAgainstReference)
                 when = cursor + static_cast<SimTime>(rng.below(4));
             } else if (kind < 0.75) {
                 when = cursor + static_cast<SimTime>(rng.below(1 << 22));
-            } else if (kind < 0.88) {
-                when = cursor + (SimTime{1} << 36) +
-                       static_cast<SimTime>(rng.below(uint64_t{1} << 40));
-                ++beyond;
-            } else if (cursor > 0) {
-                when = cursor - 1 -
-                       static_cast<SimTime>(rng.below(
-                           std::min<uint64_t>(static_cast<uint64_t>(cursor),
-                                              1 << 20)));
-                ++behind;
             } else {
-                when = 0;
+                // A bit from 36 to 60 puts the entry on level 6-10.
+                const int bit = 36 + static_cast<int>(rng.below(25));
+                when = cursor + (SimTime{1} << bit) +
+                       static_cast<SimTime>(rng.below(uint64_t{1} << 30));
+                ++beyond;
+                top_level += bit >= 60;
             }
             int tag = static_cast<int>(seq);
             EventId id =
@@ -331,8 +329,8 @@ TEST(EventQueue, PopIfAtOrBeforeAgainstReference)
     EXPECT_GT(at_head, 100);
     EXPECT_GT(refused, 100);
     EXPECT_GT(ready_cancels, 10);
-    EXPECT_GT(behind, 100);
     EXPECT_GT(beyond, 100);
+    EXPECT_GT(top_level, 10);
 }
 
 TEST(EventQueue, PeakDepthHighWaterMark)
@@ -344,15 +342,15 @@ TEST(EventQueue, PeakDepthHighWaterMark)
     while (!q.empty())
         q.pop().second();
     EXPECT_EQ(q.peakDepth(), 64u);
-    q.schedule(1, [] {});
+    q.schedule(64, [] {});
     EXPECT_EQ(q.peakDepth(), 64u); // high-water mark, not current depth
 }
 
 TEST(EventQueue, FarFutureOverflowLadderRoundTrip)
 {
-    // Events beyond the wheel horizon live in the overflow ladder and
-    // are promoted into the wheel once the cursor gets close enough.
-    // The pop order must be indistinguishable from a plain sorted queue.
+    // Events past 2^36 ns sit on the upper wheel levels (6-10) and
+    // cascade down as the cursor reaches their window. The pop order
+    // must be indistinguishable from a plain sorted queue.
     EventQueue q;
     std::vector<int> order;
     const SimTime far = SimTime{1} << 40; // beyond the 2^36 ns span
@@ -368,23 +366,19 @@ TEST(EventQueue, FarFutureOverflowLadderRoundTrip)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
-TEST(EventQueue, LadderDemotionForPastAndOverflowTimes)
+TEST(EventQueueDeathTest, ScheduleBeforeLastPopPanics)
 {
-    // Advancing the cursor past a time and then scheduling at that time
-    // again must still work (the entry is demoted to the ladder rather
-    // than placed in a wheel bucket the cursor already swept).
+    // The wheel cursor sits at the last popped time and every bucket
+    // lies at or after it, so an earlier time has no bucket: schedule()
+    // panics instead. The last popped time itself is still allowed.
     EventQueue q;
     q.schedule(1000, [] {});
     auto [when, cb] = q.pop();
     EXPECT_EQ(when, 1000);
     cb();
-    std::vector<int> order;
-    q.schedule(500, [&] { order.push_back(1); }); // before the cursor
-    q.schedule(1000, [&] { order.push_back(2); });
-    q.schedule(1500, [&] { order.push_back(3); });
-    while (!q.empty())
-        q.pop().second();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    q.schedule(1000, [] {});
+    EXPECT_DEATH(q.schedule(999, [] {}), "before the last pop");
+    EXPECT_EQ(q.pop().first, 1000);
 }
 
 TEST(EventQueue, MaxHorizonEvent)
@@ -408,19 +402,19 @@ TEST(EventQueue, MaxHorizonEvent)
 TEST(EventQueue, SizeExactUnderWheelAndLadderCancels)
 {
     // size() must track live events exactly, whether the cancelled
-    // entry sits in a wheel bucket, the ready list, or the ladder.
+    // entry sits in a low or a high wheel level or in the ready list.
     EventQueue q;
     const SimTime far = SimTime{1} << 45;
-    std::vector<EventId> wheel_ids;
-    std::vector<EventId> ladder_ids;
+    std::vector<EventId> near_ids;
+    std::vector<EventId> far_ids;
     for (int i = 0; i < 16; ++i)
-        wheel_ids.push_back(q.schedule(10 + i, [] {}));
+        near_ids.push_back(q.schedule(10 + i, [] {}));
     for (int i = 0; i < 16; ++i)
-        ladder_ids.push_back(q.schedule(far + i, [] {}));
+        far_ids.push_back(q.schedule(far + i, [] {}));
     EXPECT_EQ(q.size(), 32u);
     for (int i = 0; i < 16; i += 2) {
-        EXPECT_TRUE(q.cancel(wheel_ids[static_cast<size_t>(i)]));
-        EXPECT_TRUE(q.cancel(ladder_ids[static_cast<size_t>(i)]));
+        EXPECT_TRUE(q.cancel(near_ids[static_cast<size_t>(i)]));
+        EXPECT_TRUE(q.cancel(far_ids[static_cast<size_t>(i)]));
     }
     EXPECT_EQ(q.size(), 16u);
     size_t popped = 0;
@@ -451,8 +445,7 @@ TEST(EventQueue, FiredSlotReuseKeepsIdsDistinct)
 TEST(EventQueue, RandomizedWideHorizonsAgainstReference)
 {
     // Same reference check as above, but with bimodal horizons spanning
-    // several wheel levels plus the overflow ladder, so cascades and
-    // ladder promotion are on the hot path of the test.
+    // wheel levels 0-6, so cascades are on the hot path of the test.
     EventQueue q;
     std::multimap<std::pair<SimTime, uint64_t>, int> reference;
     Rng rng(1234);
@@ -472,7 +465,7 @@ TEST(EventQueue, RandomizedWideHorizonsAgainstReference)
             else if (kind < 0.9)
                 horizon = rng.below(uint64_t{1} << 22); // mid-level
             else
-                horizon = rng.below(uint64_t{1} << 40); // ladder range
+                horizon = rng.below(uint64_t{1} << 40); // up to level 6
             auto when = now + static_cast<SimTime>(horizon);
             int tag = static_cast<int>(seq);
             EventId id =
@@ -533,23 +526,25 @@ TEST(EventQueue, SameTimeGroupsKeepScheduleOrderOnEveryPath)
         q.schedule(when, [tag, &got] { got.push_back(tag); });
         reference.emplace(when, tag);
     };
+    auto popOne = [&] {
+        auto [when, cb] = q.pop();
+        ASSERT_EQ(when, reference.begin()->first);
+        want.push_back(reference.begin()->second);
+        reference.erase(reference.begin());
+        cb();
+    };
     auto popThrough = [&](SimTime until) {
-        while (!reference.empty() && reference.begin()->first <= until) {
-            auto [when, cb] = q.pop();
-            ASSERT_EQ(when, reference.begin()->first);
-            want.push_back(reference.begin()->second);
-            reference.erase(reference.begin());
-            cb();
-        }
+        while (!reference.empty() && reference.begin()->first <= until)
+            popOne();
     };
     auto levelTime = [](int level) {
         return (SimTime{3} << (6 * level)) + 100 * level;
     };
 
-    // Direct placement at wheel levels 0-5 (cursor at 0), three members
+    // Direct placement at wheel levels 0-10 (cursor at 0), three members
     // per group; every group above level 0 later cascades down.
     for (int member = 0; member < 3; ++member) {
-        for (int level = 0; level < 6; ++level) {
+        for (int level = 0; level < 11; ++level) {
             add(levelTime(level));
             add(levelTime(level) + 1);
         }
@@ -558,9 +553,10 @@ TEST(EventQueue, SameTimeGroupsKeepScheduleOrderOnEveryPath)
     // group to a lower level, where two more members then land directly.
     const SimTime opener = levelTime(5) - 60;
     add(opener);
-    // Groups beyond the horizon wait on the ladder until the cursor jumps.
-    const SimTime far = SimTime{1} << 40;
-    const SimTime farther = far + (SimTime{1} << 37);
+    // Far groups on level 9: `far` and `far + 7` share a bucket,
+    // `farther` has its own.
+    const SimTime far = SimTime{5} << 54;
+    const SimTime farther = far + (SimTime{1} << 58);
     for (int member = 0; member < 3; ++member) {
         add(far + 7);
         add(far);
@@ -572,19 +568,23 @@ TEST(EventQueue, SameTimeGroupsKeepScheduleOrderOnEveryPath)
     add(levelTime(5));
     popThrough(levelTime(5) + 1);
 
-    // The wheel is empty: the cursor jumps to `far` and promotes both
-    // `far` groups; two more `far + 7` members join the promoted ones.
+    // Draining `far`'s bucket cascades the `far + 7` group to level 0,
+    // where two more members then land directly.
     popThrough(far);
     add(far + 7);
     add(far + 7);
     popThrough(far + 7);
 
-    // Behind the cursor: groups stay on the ladder, ordered by key.
+    // At the cursor: once a pop has drained a group into the ready list,
+    // later members of the same time land in a bucket and pop after it.
     for (int member = 0; member < 3; ++member) {
-        add(far + 3);
-        add(far + 1);
         add(far + 7);
+        add(far + 9);
+        add(farther);
     }
+    popOne();
+    add(far + 7);
+    add(far + 7);
     popThrough(kSimTimeMax);
 
     EXPECT_TRUE(q.empty());
@@ -716,6 +716,21 @@ TEST(Simulator, RunUntilStopsAtDeadline)
     EXPECT_EQ(sim.now(), 20);
     sim.runAll();
     EXPECT_EQ(fired, 3);
+}
+
+TEST(Simulator, ScheduleBetweenClockAndRefusedHead)
+{
+    // runUntil() ends on a refused pop of the event at 100. That pop
+    // must not move the queue past the clock: an event scheduled in
+    // between still fires first.
+    Simulator sim;
+    std::vector<SimTime> times;
+    sim.at(100, [&] { times.push_back(sim.now()); });
+    sim.runUntil(50);
+    EXPECT_EQ(sim.now(), 50);
+    sim.at(60, [&] { times.push_back(sim.now()); });
+    sim.runAll();
+    EXPECT_EQ(times, (std::vector<SimTime>{60, 100}));
 }
 
 TEST(Simulator, RunUntilAdvancesClockWhenIdle)

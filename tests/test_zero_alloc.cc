@@ -92,16 +92,16 @@ TEST(ZeroAlloc, EventQueueMixDoesNotAllocate)
     if (!common::allocCountingEnabled())
         GTEST_SKIP() << "built without ISOL_COUNT_ALLOCS";
 
-    // The horizon micro-benchmark's shape on a bare queue: 8192 live
-    // clustered timers, every step pops one and reschedules it, and
-    // every eighth step also schedules a far-future event that a later
-    // batch cancels. Each pass starts with the cursor parked on a
-    // multiple of the wheel span, so the replay repeats the warm-up pass
-    // exactly and must find every arena big enough.
+    // A mixed timer load on a bare queue: 8192 live clustered timers,
+    // every step pops one and reschedules it, and every eighth step also
+    // schedules a 10 ms timer that a later batch cancels. Each pass
+    // starts with the cursor parked on a multiple of 2^36 ns, far past
+    // the last pass, so the replay files every entry in the same bucket
+    // as the warm-up pass and must find every arena big enough.
     sim::EventQueue q;
     uint64_t fired = 0;
-    // Popping a marker beyond the horizon frees every cancelled entry
-    // the last pass left behind and jumps the cursor to `base`.
+    // Popping a marker at `base` frees every cancelled entry the last
+    // pass left behind, on the way to it, and moves the cursor there.
     auto park = [&q](SimTime base) {
         q.schedule(base, [] {});
         q.pop().second();
@@ -133,13 +133,13 @@ TEST(ZeroAlloc, EventQueueMixDoesNotAllocate)
             q.pop().second();
     };
 
-    constexpr SimTime kWheelSpan = SimTime{1} << 36;
-    park(kWheelSpan);
-    pass(kWheelSpan);
+    constexpr SimTime kPassSpan = SimTime{1} << 36;
+    park(kPassSpan);
+    pass(kPassSpan);
     uint64_t warm_fired = fired;
-    park(2 * kWheelSpan);
+    park(2 * kPassSpan);
     common::resetAllocCounters();
-    pass(2 * kWheelSpan);
+    pass(2 * kPassSpan);
     common::AllocCounters counters = common::allocCounters();
 
     EXPECT_EQ(fired, 2 * warm_fired) << "the replay must repeat the pass";

@@ -6,12 +6,13 @@
 #      with runtime invariants on plus its planted-bug mutation run —
 #      adversaries, every knob and the invariant hooks all under the
 #      sanitizer.
-#   2. TSan build: the sweep-engine determinism tests and every
-#      sweep::map caller (the quick fig5, fig7, table1 and calibration
-#      benches, a small fleet and a short isol_fuzz campaign) with 4
-#      worker threads, the configuration that exercises the
-#      shared-nothing worker pool hardest. A float accumulated across
-#      workers shows up here as a data race; no lint rule checks for it.
+#   2. TSan build: the event-queue and simulator unit tests, then the
+#      sweep-engine determinism tests and every sweep::map caller (the
+#      quick fig5, fig7, table1 and calibration benches, a small fleet
+#      and a short isol_fuzz campaign) with 4 worker threads, the
+#      configuration that exercises the shared-nothing worker pool
+#      hardest. A float accumulated across workers shows up here as a
+#      data race; no lint rule checks for it.
 #
 # Usage: tools/sanitize_smoke.sh [asan-build-dir] [tsan-build-dir]
 #        (defaults: build-asan build-tsan)
@@ -37,8 +38,9 @@ fi
 
 echo "== TSan =="
 cmake -S "$SRC_DIR" -B "$TSAN_DIR" -DISOL_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j --target test_sweep fig5_fairness \
+cmake --build "$TSAN_DIR" -j --target test_sim test_sweep fig5_fairness \
     fig7_tradeoffs table1_summary calibration_probe fleet_scale isol_fuzz
+"$TSAN_DIR/tests/test_sim"
 ISOL_JOBS=4 "$TSAN_DIR/tests/test_sweep"
 for b in fig5_fairness fig7_tradeoffs table1_summary calibration_probe; do
     (cd "$TSAN_DIR" && ISOL_BENCH_QUICK=1 "./bench/$b" --jobs 4 >/dev/null)
