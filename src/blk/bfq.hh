@@ -10,8 +10,8 @@
  *    dispatch path briefly waiting for more I/O from the same queue —
  *    the cause of the unstable bandwidth in the paper's Fig. 2c/2d and a
  *    key contributor to BFQ's low NVMe throughput;
- *  - `low_latency` exists as a toggle but defaults off (paper §III
- *    disables it because it changes priorities dynamically).
+ *  - `low_latency` is not modelled: the paper §III disables it because
+ *    it changes priorities dynamically.
  *
  * The per-device single dispatch lock is modelled by BlockDevice via
  * dispatchCost().
@@ -33,7 +33,6 @@ struct BfqParams
 {
     SimTime slice_idle = msToNs(8); //!< 0 disables idling
     uint64_t max_budget = 4 * MiB; //!< bytes served per slice
-    bool low_latency = false; //!< paper disables this
 };
 
 /**

@@ -1,9 +1,31 @@
 #include "blk/block_device.hh"
 
+#include "blk/kyber.hh"
+#include "blk/mq_deadline.hh"
 #include "common/logging.hh"
 
 namespace isol::blk
 {
+
+namespace
+{
+// BFQ's scheduler-lock hold per acquisition (mq-deadline's is
+// BlockDeviceConfig::mq_lock_hold): its bfqd->lock critical sections
+// are longer.
+constexpr SimTime kBfqLockHold = nsToNs(2750);
+
+// Submit-side per-I/O CPU each elevator or gate adds to the issuing
+// task: the insert path under the scheduler lock (dd_insert_requests,
+// bfq_insert_requests), Kyber's per-cpu token ops (no big lock), and
+// the rq-qos throttle hooks (blk_throtl_bio, blkcg_iolatency_throttle,
+// ioc_rqos_throttle).
+constexpr SimTime kMqCpu = nsToNs(4600);
+constexpr SimTime kBfqCpu = nsToNs(12000);
+constexpr SimTime kKyberCpu = nsToNs(600);
+constexpr SimTime kIoMaxCpu = nsToNs(450);
+constexpr SimTime kIoLatCpu = nsToNs(200);
+constexpr SimTime kIoCostCpu = nsToNs(300);
+} // namespace
 
 BlockDevice::BlockDevice(sim::Simulator &sim, cgroup::CgroupTree &tree,
                          ssd::SsdDevice &ssd, BlockDeviceConfig cfg)
@@ -14,24 +36,24 @@ BlockDevice::BlockDevice(sim::Simulator &sim, cgroup::CgroupTree &tree,
         elevator_ = std::make_unique<NoneElevator>();
         break;
       case ElevatorType::kMqDeadline:
-        elevator_ = std::make_unique<MqDeadline>(sim_, cfg_.mq_params);
+        elevator_ = std::make_unique<MqDeadline>(sim_);
         dispatch_cost_ = cfg_.mq_lock_hold;
-        cpu_extra_ = cfg_.mq_cpu;
+        cpu_extra_ = kMqCpu;
         break;
       case ElevatorType::kBfq:
         elevator_ = std::make_unique<Bfq>(sim_, tree_, cfg_.bfq_params);
-        dispatch_cost_ = cfg_.bfq_lock_hold;
-        cpu_extra_ = cfg_.bfq_cpu;
+        dispatch_cost_ = kBfqLockHold;
+        cpu_extra_ = kBfqCpu;
         break;
       case ElevatorType::kKyber:
         // Per-cpu token pools, no dispatch lock.
-        elevator_ = std::make_unique<Kyber>(sim_, cfg_.kyber_params);
-        cpu_extra_ = cfg_.kyber_cpu;
+        elevator_ = std::make_unique<Kyber>(sim_);
+        cpu_extra_ = kKyberCpu;
         break;
     }
     elevator_->setKick([this] { pumpDispatch(); });
     if (dispatch_cost_ > 0)
-        dispatch_lock_ = std::make_unique<ssd::FifoServer>(sim_);
+        dispatch_lock_ = std::make_unique<sim::FifoServer>(sim_);
 
     auto enter_tags = [this](Request *req) { enterTags(req); };
     switch (cfg_.qos) {
@@ -42,18 +64,18 @@ BlockDevice::BlockDevice(sim::Simulator &sim, cgroup::CgroupTree &tree,
                                                 enter_tags);
         gate->setDebugCorruptBucket(cfg_.debug_corrupt_iomax_bucket);
         qos_ = std::move(gate);
-        cpu_extra_ += cfg_.iomax_cpu;
+        cpu_extra_ += kIoMaxCpu;
         break;
       }
       case QosType::kIoLatency:
         qos_ = std::make_unique<IoLatencyGate>(
             sim_, cfg_.dev_id, tree_, enter_tags, cfg_.iolat_params);
-        cpu_extra_ += cfg_.iolat_cpu;
+        cpu_extra_ += kIoLatCpu;
         break;
       case QosType::kIoCost:
         qos_ = std::make_unique<IoCostGate>(
             sim_, cfg_.dev_id, tree_, enter_tags, cfg_.iocost_params);
-        cpu_extra_ += cfg_.iocost_cpu;
+        cpu_extra_ += kIoCostCpu;
         break;
     }
     qos_->setInvariants(inv_);

@@ -22,18 +22,16 @@
 
 #include "blk/bfq.hh"
 #include "blk/elevator.hh"
-#include "blk/kyber.hh"
-#include "blk/mq_deadline.hh"
 #include "blk/qos_cost.hh"
 #include "blk/qos_latency.hh"
 #include "blk/qos_max.hh"
 #include "blk/request.hh"
 #include "blk/rq_qos.hh"
 #include "common/ring.hh"
+#include "sim/fifo_server.hh"
 #include "sim/invariants.hh"
 #include "sim/simulator.hh"
 #include "ssd/device.hh"
-#include "ssd/resource.hh"
 
 namespace isol::blk
 {
@@ -57,30 +55,19 @@ struct BlockDeviceConfig
      */
     uint32_t nr_requests = 16384;
 
-    MqDeadlineParams mq_params;
     BfqParams bfq_params;
-    KyberParams kyber_params;
     IoLatencyParams iolat_params;
     IoCostParams iocost_params;
 
     /**
-     * Single scheduler-lock hold time per acquisition. Every request
-     * acquires the lock twice (insert + dispatch), so one request costs
-     * 2x this on the serialized path — the source of the paper's
-     * single-SSD bandwidth plateaus (Fig. 4a) — and submitters *spin*
-     * for the current backlog, burning their own CPU (Fig. 4c: a full
-     * core per batch-app under MQ-DL/BFQ).
+     * mq-deadline's scheduler-lock hold time per acquisition (BFQ's is
+     * fixed in block_device.cc). Every request acquires the lock twice
+     * (insert + dispatch), so one request costs 2x this on the serialized
+     * path — the source of the paper's single-SSD bandwidth plateaus
+     * (Fig. 4a) — and submitters *spin* for the current backlog, burning
+     * their own CPU (Fig. 4c: a full core per batch-app under MQ-DL/BFQ).
      */
     SimTime mq_lock_hold = nsToNs(1050);
-    SimTime bfq_lock_hold = nsToNs(2750);
-
-    /** Submit-side per-I/O CPU overhead charged to the issuing task. */
-    SimTime mq_cpu = nsToNs(4600);
-    SimTime bfq_cpu = nsToNs(12000);
-    SimTime kyber_cpu = nsToNs(600); //!< per-cpu token ops, no big lock
-    SimTime iomax_cpu = nsToNs(450);
-    SimTime iolat_cpu = nsToNs(200);
-    SimTime iocost_cpu = nsToNs(300);
 
     /**
      * Runtime invariant checker shared by the whole scenario (nullptr =
@@ -151,11 +138,6 @@ class BlockDevice
     size_t tagWaiting() const { return tag_wait_.size(); }
     /** The rq-qos gate as its concrete type, nullptr if another runs. */
     IoMaxGate *ioMaxGate() { return dynamic_cast<IoMaxGate *>(qos_.get()); }
-    IoLatencyGate *
-    ioLatencyGate()
-    {
-        return dynamic_cast<IoLatencyGate *>(qos_.get());
-    }
     IoCostGate *ioCostGate() { return dynamic_cast<IoCostGate *>(qos_.get()); }
     Elevator &elevator() { return *elevator_; }
 
@@ -189,7 +171,7 @@ class BlockDevice
 
     std::unique_ptr<Elevator> elevator_;
     std::unique_ptr<RqQos> qos_;
-    std::unique_ptr<ssd::FifoServer> dispatch_lock_;
+    std::unique_ptr<sim::FifoServer> dispatch_lock_;
 
     SimTime dispatch_cost_ = 0;
     SimTime cpu_extra_ = 0; //!< perIoCpuExtra(), fixed at construction

@@ -3,6 +3,14 @@
 namespace isol::blk
 {
 
+namespace
+{
+// Age past which a queued write is served ahead of reads (iosched
+// write_expire, kernel default 5 s). read_expire is not modelled: each
+// direction is one FIFO, so an expired read is next in line anyway.
+constexpr SimTime kWriteExpire = secToNs(int64_t{5});
+} // namespace
+
 MqDeadline::MqDeadline(sim::Simulator &sim, MqDeadlineParams params)
     : sim_(sim), params_(params)
 {
@@ -82,8 +90,7 @@ MqDeadline::popFrom(ClassQueues &cls)
         dir = OpType::kWrite;
     } else if (has_write) {
         bool write_expired =
-            sim_.now() - cls.write.fifo.front().arrival >
-            params_.write_expire;
+            sim_.now() - cls.write.fifo.front().arrival > kWriteExpire;
         if (write_expired || cls.starved >= params_.writes_starved) {
             dir = OpType::kWrite;
         }

@@ -31,8 +31,6 @@ namespace isol::blk
 /** Tunables mirroring /sys/block/<dev>/queue/iosched for mq-deadline. */
 struct MqDeadlineParams
 {
-    SimTime read_expire = msToNs(500);
-    SimTime write_expire = secToNs(int64_t{5});
     int fifo_batch = 16;
     int writes_starved = 2;
     /** Aging promotion for lower priority classes (kernel default 10 s). */

@@ -10,6 +10,28 @@
 namespace isol::blk
 {
 
+namespace
+{
+// Mechanism constants: kernel-internal in blk-iocost.c, no cgroup file.
+// Timer period (ioc->period_us): qos checks and weight donation.
+constexpr SimTime kPeriod = msToNs(5);
+// Vtime a group may run ahead of the device clock before it waits (the
+// model's stand-in for the budget margins, MARGIN_*_PCT).
+constexpr SimTime kMargin = msToNs(10);
+// Idle credit: how far behind the device clock a group's vtime may lag
+// (the kernel clamps to vnow - ioc->margins.target on activation).
+constexpr SimTime kCreditCap = msToNs(100);
+// CPU cost of one ioc_timer_fn() pass: fixed part plus one walk step
+// per active group (ioc->active_iocgs).
+constexpr SimTime kTimerCpuBase = usToNs(4);
+constexpr SimTime kTimerCpuPerGroup = usToNs(10);
+// vrate adjustment per period (ioc->busy_level driving vrate_adj_pct):
+// multiplicative decrease on a qos miss, additive increase of a
+// fraction of qos.max otherwise.
+constexpr double kVrateStepDown = 0.85;
+constexpr double kVrateStepUp = 0.05;
+} // namespace
+
 IoCostGate::IoCostGate(sim::Simulator &sim, cgroup::DeviceId dev,
                        cgroup::CgroupTree &tree, PassFn pass,
                        IoCostParams params)
@@ -18,7 +40,7 @@ IoCostGate::IoCostGate(sim::Simulator &sim, cgroup::DeviceId dev,
     cgroup::IoCostQos qos = tree_.costQos(dev_);
     vrate_ = qos.vrate_max / 100.0;
     timer_ = std::make_unique<sim::PeriodicTimer>(
-        sim_, params_.period, [this] { periodTick(); });
+        sim_, kPeriod, [this] { periodTick(); });
 }
 
 void
@@ -110,7 +132,7 @@ IoCostGate::activate(CgState &st)
     st.active = true;
     ++active_count_;
     // A group joining after idling must not spend banked history.
-    st.vtime = std::max(st.vtime, vnow_ - params_.credit_cap);
+    st.vtime = std::max(st.vtime, vnow_ - kCreditCap);
     shares_dirty_ = true;
 }
 
@@ -184,7 +206,7 @@ IoCostGate::donateShares()
     // below its share keeps only usage + headroom; freed budget goes to
     // budget-constrained groups in proportion to their raw weights.
     double period_cap =
-        static_cast<double>(params_.period) * std::max(vrate_, 1e-6);
+        static_cast<double>(kPeriod) * std::max(vrate_, 1e-6);
     double want_sum = 0.0;
     double receiver_raw_sum = 0.0;
     donate_receivers_.clear();
@@ -254,11 +276,11 @@ IoCostGate::tryCharge(CgState &st, OpType op, bool sequential,
 {
     ensureShares();
     updateVnow();
-    if (st.vtime < vnow_ - params_.credit_cap)
-        st.vtime = vnow_ - params_.credit_cap;
+    if (st.vtime < vnow_ - kCreditCap)
+        st.vtime = vnow_ - kCreditCap;
     double abs = static_cast<double>(absCost(op, sequential, size));
     double cost = abs / std::max(st.share, 1e-9);
-    if (st.vtime + cost <= vnow_ + static_cast<double>(params_.margin)) {
+    if (st.vtime + cost <= vnow_ + static_cast<double>(kMargin)) {
         st.vtime += cost;
         st.period_abs += abs; // usage accounting for donation
         chargeSubtree(st.cg, abs);
@@ -312,7 +334,7 @@ IoCostGate::drain(CgState &st)
                           absCost(head.op, head.sequential, head.size)) /
                       std::max(st.share, 1e-9);
         double needed =
-            st.vtime + cost - static_cast<double>(params_.margin) - vnow_;
+            st.vtime + cost - static_cast<double>(kMargin) - vnow_;
         // Round up: a delay truncated to whole ns wakes just before the
         // head is admissible, admits nothing and re-arms at the floor.
         SimTime delay = static_cast<SimTime>(
@@ -346,9 +368,8 @@ IoCostGate::periodTick()
     // The period timer is kernel work: walking the active groups holds
     // the ioc lock and competes with submission paths for CPU. Charge it
     // to the host CPU first; the control decisions run when it retires.
-    SimTime work = params_.timer_cpu_base +
-                   params_.timer_cpu_per_group *
-                       static_cast<SimTime>(active_count_);
+    SimTime work = kTimerCpuBase +
+                   kTimerCpuPerGroup * static_cast<SimTime>(active_count_);
     if (cpu_charge_) {
         cpu_charge_(work, [this] { periodWork(); });
     } else {
@@ -391,7 +412,7 @@ IoCostGate::periodWork()
     for (CgState &st : states_) {
         ++bookkeeping_ops_;
         if (st.active && st.queue.empty() &&
-            sim_.now() - st.last_io > 2 * params_.period) {
+            sim_.now() - st.last_io > 2 * kPeriod) {
             st.active = false;
             --active_count_;
             shares_dirty_ = true;
@@ -418,9 +439,9 @@ IoCostGate::periodWork()
             (write_checked &&
              window_write_lat_.percentile(qos.wpct) > qos.wlat);
         if (violated)
-            vrate_ = std::max(vmin, vrate_ * params_.vrate_step_down);
+            vrate_ = std::max(vmin, vrate_ * kVrateStepDown);
         else
-            vrate_ = std::min(vmax, vrate_ + params_.vrate_step_up * vmax);
+            vrate_ = std::min(vmax, vrate_ + kVrateStepUp * vmax);
     }
     window_read_lat_.clear();
     window_write_lat_.clear();

@@ -45,16 +45,9 @@
 namespace isol::blk
 {
 
-/** Mechanism tunables (kernel-internal constants, not cgroup knobs). */
+/** Ablation switches (not cgroup knobs). */
 struct IoCostParams
 {
-    SimTime period = msToNs(5); //!< qos / donation timer period
-    SimTime margin = msToNs(10); //!< allowed vtime lead
-    SimTime credit_cap = msToNs(100); //!< max idle credit
-    SimTime timer_cpu_base = usToNs(4); //!< timer CPU cost, fixed part
-    SimTime timer_cpu_per_group = usToNs(10); //!< per active group
-    double vrate_step_down = 0.85; //!< multiplicative decrease
-    double vrate_step_up = 0.05; //!< additive increase (fraction)
     /** Ablation switch: disable hweight donation (surplus budget stays
      *  stranded with high-weight low-usage groups). */
     bool enable_donation = true;

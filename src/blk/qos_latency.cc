@@ -12,6 +12,12 @@ namespace isol::blk
 namespace
 {
 
+// Check interval (blk-iolatency: iolat->cur_win_nsec).
+constexpr SimTime kWindow = msToNs(500);
+// Latency percentile compared with the target: on SSDs the kernel flags
+// a miss when more than 10% of a window's I/Os exceed it (P90).
+constexpr double kPercentile = 90.0;
+
 std::string
 groupLabel(const cgroup::Cgroup *cg)
 {
@@ -26,7 +32,7 @@ IoLatencyGate::IoLatencyGate(sim::Simulator &sim, cgroup::DeviceId dev,
     : RqQos(sim, dev, tree, std::move(pass)), params_(params)
 {
     timer_ = std::make_unique<sim::PeriodicTimer>(
-        sim_, params_.window, [this] { windowTick(); });
+        sim_, kWindow, [this] { windowTick(); });
 }
 
 void
@@ -143,7 +149,7 @@ IoLatencyGate::windowTick()
         SimTime target = st.cg->ioLatencyTarget(dev_);
         if (target <= 0 || st.window_lat.count() == 0)
             continue;
-        SimTime p = st.window_lat.percentile(params_.percentile);
+        SimTime p = st.window_lat.percentile(kPercentile);
         if (p > target) {
             any_violated = true;
             strictest_violated = std::min(strictest_violated, target);

@@ -37,9 +37,7 @@ namespace isol::blk
 /** Tunables for the io.latency mechanism. */
 struct IoLatencyParams
 {
-    SimTime window = msToNs(500); //!< check interval
     uint32_t max_nr_requests = 1024; //!< device queue depth
-    double percentile = 90.0; //!< static percentile checked (P90)
 };
 
 /**

@@ -25,19 +25,6 @@ enum class ElevatorType : uint8_t
     kKyber, //!< Kyber (extension; no cgroup knob, see blk/kyber.hh)
 };
 
-/** Human-readable elevator name. */
-inline const char *
-elevatorName(ElevatorType type)
-{
-    switch (type) {
-      case ElevatorType::kNone: return "none";
-      case ElevatorType::kMqDeadline: return "mq-deadline";
-      case ElevatorType::kBfq: return "bfq";
-      case ElevatorType::kKyber: return "kyber";
-    }
-    return "?";
-}
-
 /**
  * One block I/O request flowing through the cgroup-controlled pipeline:
  * io.max throttle -> io.cost -> io.latency -> tags -> elevator -> device.

@@ -63,9 +63,6 @@ class Arena
             grow();
         T *obj = free_.back();
         free_.pop_back();
-        ++acquired_;
-        if (live() > peak_live_)
-            peak_live_ = live();
         return obj;
     }
 
@@ -73,21 +70,8 @@ class Arena
     void
     release(T *obj)
     {
-        ++released_;
         free_.push_back(obj);
     }
-
-    /** Objects currently handed out. */
-    size_t live() const { return acquired_ - released_; }
-
-    /** High-water mark of handed-out objects. */
-    size_t peakLive() const { return peak_live_; }
-
-    /** Total slots across all slabs. */
-    size_t capacity() const { return slabs_.size() * kChunkObjects; }
-
-    /** Lifetime acquire count (allocation-rate accounting). */
-    size_t acquires() const { return acquired_; }
 
   private:
     struct SlabDelete
@@ -117,9 +101,6 @@ class Arena
 
     std::vector<Slab> slabs_;
     std::vector<T *> free_;
-    size_t acquired_ = 0;
-    size_t released_ = 0;
-    size_t peak_live_ = 0;
 };
 
 } // namespace isol::common

@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal logging and error-handling helpers.
+ * Error-handling helpers.
  *
  * Follows the gem5 distinction between panic() (an internal invariant was
  * violated — a simulator bug; aborts) and fatal() (the user asked for
@@ -17,24 +17,12 @@
 namespace isol
 {
 
-/** Severity levels for runtime log output. */
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
 /** Thrown by fatal(): an invalid user configuration was requested. */
 class FatalError : public std::runtime_error
 {
   public:
     explicit FatalError(const std::string &msg) : std::runtime_error(msg) {}
 };
-
-/** Global minimum level actually emitted (default kWarn: quiet benches). */
-LogLevel logLevel();
-
-/** Set the global minimum log level. */
-void setLogLevel(LogLevel level);
-
-/** Emit one log line if `level` is at or above the global threshold. */
-void logMessage(LogLevel level, const std::string &msg);
 
 /** Report an unrecoverable internal error (simulator bug) and abort. */
 [[noreturn]] void panic(const std::string &msg);
@@ -44,7 +32,7 @@ void logMessage(LogLevel level, const std::string &msg);
 
 /**
  * Build a message from stream-style arguments.
- * Example: logMessage(LogLevel::kInfo, strCat("apps=", n));
+ * Example: fatal(strCat("bad apps=", n));
  */
 template <typename... Args>
 std::string

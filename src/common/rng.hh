@@ -10,7 +10,6 @@
 #ifndef ISOL_COMMON_RNG_HH
 #define ISOL_COMMON_RNG_HH
 
-#include <cmath>
 #include <cstdint>
 
 namespace isol
@@ -78,17 +77,6 @@ class Rng
     uniform()
     {
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
-    }
-
-    /** Exponentially distributed double with the given mean. */
-    double
-    exponential(double mean)
-    {
-        double u = uniform();
-        // Guard against log(0).
-        if (u <= 0.0)
-            u = 0x1.0p-53;
-        return -mean * std::log(u);
     }
 
     /** Bernoulli trial with probability p of returning true. */

@@ -119,26 +119,6 @@ parseSize(std::string_view text, std::optional<uint64_t> max_value)
 }
 
 std::string
-formatBytes(uint64_t bytes)
-{
-    char buf[64];
-    if (bytes >= GiB) {
-        std::snprintf(buf, sizeof(buf), "%.2fGiB",
-                      static_cast<double>(bytes) / static_cast<double>(GiB));
-    } else if (bytes >= MiB) {
-        std::snprintf(buf, sizeof(buf), "%.2fMiB",
-                      static_cast<double>(bytes) / static_cast<double>(MiB));
-    } else if (bytes >= KiB) {
-        std::snprintf(buf, sizeof(buf), "%.2fKiB",
-                      static_cast<double>(bytes) / static_cast<double>(KiB));
-    } else {
-        std::snprintf(buf, sizeof(buf), "%lluB",
-                      static_cast<unsigned long long>(bytes));
-    }
-    return buf;
-}
-
-std::string
 formatDouble(double value, int precision)
 {
     char buf[64];

@@ -44,9 +44,6 @@ std::optional<uint64_t> parseUint(std::string_view text);
  */
 std::optional<int64_t> parseNs(std::string_view text, int64_t unit_ns);
 
-/** Format a byte count as a compact human-readable string ("1.5GiB"). */
-std::string formatBytes(uint64_t bytes);
-
 /** Format a double with fixed precision. */
 std::string formatDouble(double value, int precision);
 

@@ -69,20 +69,6 @@ enum class OpType : uint8_t { kRead, kWrite };
 /** Spatial access pattern of a request stream. */
 enum class AccessPattern : uint8_t { kRandom, kSequential };
 
-/** Human-readable name of an op type ("read"/"write"). */
-inline const char *
-opTypeName(OpType op)
-{
-    return op == OpType::kRead ? "read" : "write";
-}
-
-/** Human-readable name of an access pattern ("rand"/"seq"). */
-inline const char *
-accessPatternName(AccessPattern p)
-{
-    return p == AccessPattern::kRandom ? "rand" : "seq";
-}
-
 } // namespace isol
 
 #endif // ISOL_COMMON_TYPES_HH

@@ -22,6 +22,7 @@
 
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "sim/fifo_server.hh"
 #include "sim/simulator.hh"
 
 namespace isol::host
@@ -34,12 +35,13 @@ using TaskId = uint32_t;
 constexpr TaskId kKernelTask = UINT32_MAX;
 
 /**
- * One logical CPU core: a serial FIFO work server.
+ * One logical CPU core: a sim::FifoServer of work items that also counts
+ * owner transitions.
  */
 class CpuCore
 {
   public:
-    CpuCore(sim::Simulator &sim, uint32_t id) : sim_(sim), id_(id) {}
+    CpuCore(sim::Simulator &sim, uint32_t id) : server_(sim), id_(id) {}
 
     CpuCore(const CpuCore &) = delete;
     CpuCore &operator=(const CpuCore &) = delete;
@@ -55,17 +57,8 @@ class CpuCore
     SimTime
     book(TaskId owner, SimTime duration)
     {
-        if (duration < 0)
-            panic("CpuCore: negative duration");
-        SimTime start = std::max(sim_.now(), busy_until_);
-        busy_until_ = start + duration;
-        busy_ns_ += duration;
-        ++work_items_;
-        if (owner != last_owner_) {
-            ++context_switches_;
-            last_owner_ = owner;
-        }
-        return busy_until_;
+        noteWork(owner, duration);
+        return server_.book(duration);
     }
 
     /**
@@ -75,36 +68,39 @@ class CpuCore
     SimTime
     charge(TaskId owner, SimTime duration, sim::SmallCallback done)
     {
-        SimTime end = book(owner, duration);
-        sim_.at(end, std::move(done));
-        return end;
+        noteWork(owner, duration);
+        return server_.enqueue(duration, std::move(done));
     }
 
     /** Time at which currently queued work drains. */
-    SimTime busyUntil() const { return busy_until_; }
+    SimTime busyUntil() const { return server_.busyUntil(); }
 
     /** Queueing delay a work item enqueued now would see. */
-    SimTime
-    backlog() const
-    {
-        return busy_until_ > sim_.now() ? busy_until_ - sim_.now() : 0;
-    }
+    SimTime backlog() const { return server_.backlog(); }
 
     /** Cumulative busy time. */
-    SimTime busyNs() const { return busy_ns_; }
+    SimTime busyNs() const { return server_.busyNs(); }
 
     /** Work items executed (including queued). */
-    uint64_t workItems() const { return work_items_; }
+    uint64_t workItems() const { return server_.jobs(); }
 
     /** Owner-transition count (proxy for context switches). */
     uint64_t contextSwitches() const { return context_switches_; }
 
   private:
-    sim::Simulator &sim_;
+    void
+    noteWork(TaskId owner, SimTime duration)
+    {
+        if (duration < 0)
+            panic("CpuCore: negative duration");
+        if (owner != last_owner_) {
+            ++context_switches_;
+            last_owner_ = owner;
+        }
+    }
+
+    sim::FifoServer server_;
     uint32_t id_;
-    SimTime busy_until_ = 0;
-    SimTime busy_ns_ = 0;
-    uint64_t work_items_ = 0;
     uint64_t context_switches_ = 0;
     TaskId last_owner_ = kKernelTask;
 };

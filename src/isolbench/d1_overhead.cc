@@ -63,9 +63,7 @@ runLcScaling(Knob knob, uint32_t apps, const D1Options &opts)
     stats::Histogram merged;
     for (uint32_t i = 0; i < apps; ++i)
         merged.merge(scenario.app(i).latency());
-    result.p50_us = nsToUs(merged.percentile(50));
     result.p99_us = nsToUs(merged.percentile(99));
-    result.mean_us = merged.mean() / 1e3;
     result.cpu_util = scenario.cpuUtilization();
     result.ctx_per_io = scenario.contextSwitchesPerIo();
     for (auto [value, prob] : merged.cdf())

@@ -38,9 +38,7 @@ struct LcScalingResult
 {
     Knob knob;
     uint32_t apps;
-    double p50_us = 0.0;
     double p99_us = 0.0;
-    double mean_us = 0.0;
     double cpu_util = 0.0; //!< single core, [0,1]
     double ctx_per_io = 0.0;
     /** Merged completion-latency CDF across apps (us, probability). */

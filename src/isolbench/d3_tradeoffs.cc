@@ -231,7 +231,7 @@ runTradeoffSweep(Knob knob, PriorityAppKind kind, BeWorkload be,
             prio_idx = scenario.addApp(std::move(spec), "prio");
         }
         // BE-apps (all in one best-effort cgroup).
-        for (uint32_t i = 0; i < opts.num_be_apps; ++i)
+        for (uint32_t i = 0; i < kNumBeApps; ++i)
             scenario.addApp(beSpec(be, cfg.duration, i), "be");
 
         setting.apply(scenario, scenario.appGroup(prio_idx),

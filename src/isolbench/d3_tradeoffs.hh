@@ -42,10 +42,13 @@ enum class BeWorkload : uint8_t
 
 const char *beWorkloadName(BeWorkload be);
 
+/** BE-apps sharing the best-effort cgroup in a D3 trade-off and a D4
+ *  burst run: 4 saturate the SSD on their own. */
+constexpr uint32_t kNumBeApps = 4;
+
 /** Options for a trade-off sweep. */
 struct TradeoffOptions
 {
-    uint32_t num_be_apps = 4;
     uint32_t num_cores = 10;
     SimTime duration = msToNs(1200);
     SimTime warmup = msToNs(300);

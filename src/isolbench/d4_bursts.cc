@@ -80,7 +80,7 @@ runBurstResponse(Knob knob, PriorityAppKind kind, const BurstOptions &opts)
     prio_spec.stats_bin = opts.bin;
     uint32_t prio_idx = scenario.addApp(std::move(prio_spec), "prio");
 
-    for (uint32_t i = 0; i < opts.num_be_apps; ++i) {
+    for (uint32_t i = 0; i < kNumBeApps; ++i) {
         workload::JobSpec spec =
             workload::beApp(strCat("be", i), cfg.duration);
         scenario.addApp(std::move(spec), "be");

@@ -3,7 +3,7 @@
  * Desideratum D4 — performance isolation during bursts
  * (paper §VI-C, Q10).
  *
- * A BE-app runs continuously; the priority app starts mid-run (the
+ * Four BE-apps run continuously; the priority app starts mid-run (the
  * burst). We measure the response time: how long after the burst start
  * the I/O control mechanism gives the priority app its entitled
  * performance (bandwidth for a batch-app, tail latency for an LC-app).
@@ -25,7 +25,6 @@ namespace isol::isolbench
 /** Options for a burst-response run. */
 struct BurstOptions
 {
-    uint32_t num_be_apps = 4;
     uint32_t num_cores = 10;
     SimTime burst_start = msToNs(1500); //!< priority app start
     SimTime duration = secToNs(int64_t{8}); //!< total run

@@ -114,7 +114,6 @@ Scenario::buildDevices()
         bcfg.dev_id = i;
         bcfg.invariants = inv_.get();
         bcfg.debug_corrupt_iomax_bucket = cfg_.debug_corrupt_iomax_bucket;
-        bcfg.mq_params = cfg_.mq_params;
         bcfg.bfq_params = cfg_.bfq_params;
         bcfg.iocost_params = cfg_.iocost_params;
         switch (cfg_.knob) {
@@ -281,17 +280,6 @@ Scenario::group(const std::string &name)
     if (node == nullptr || node == &tree_.root())
         fatal("Scenario: no cgroup named '" + name + "'");
     return *node;
-}
-
-uint32_t
-Scenario::adversaryTenants() const
-{
-    uint32_t n = 0;
-    for (const auto &slot : apps_) {
-        if (slot->job->spec().adversary != workload::AdversaryKind::kNone)
-            ++n;
-    }
-    return n;
 }
 
 void

@@ -82,8 +82,7 @@ struct ScenarioConfig
      */
     bool iocost_achievable_model = true;
 
-    /** Elevator tunables (e.g. slice_idle=0 for the D1 experiments). */
-    blk::MqDeadlineParams mq_params;
+    /** BFQ tunables (e.g. slice_idle=0 for the D1 experiments). */
     blk::BfqParams bfq_params;
 
     /** io.cost mechanism tunables (ablation studies). */
@@ -194,9 +193,6 @@ class Scenario
 
     /** Runtime invariant checker (nullptr when checking is off). */
     sim::InvariantChecker *invariants() { return inv_.get(); }
-
-    /** Tenants whose spec carries an adversary tag. */
-    uint32_t adversaryTenants() const;
 
   private:
     struct AppSlot;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Serial FIFO resource server — the building block for flash dies, flash
- * channels, and the device's host link.
+ * Serial FIFO resource server — the building block for flash channels,
+ * the SSD's host link, the block layer's dispatch lock and host CPU
+ * cores (host::CpuCore).
  *
  * Because service is strictly FIFO and service times are known at enqueue
  * time, the server needs no explicit queue: it tracks the time at which it
@@ -12,8 +13,8 @@
  * event, not a link event and a delay event.
  */
 
-#ifndef ISOL_SSD_RESOURCE_HH
-#define ISOL_SSD_RESOURCE_HH
+#ifndef ISOL_SIM_FIFO_SERVER_HH
+#define ISOL_SIM_FIFO_SERVER_HH
 
 #include <cstdint>
 
@@ -21,7 +22,7 @@
 #include "common/types.hh"
 #include "sim/simulator.hh"
 
-namespace isol::ssd
+namespace isol::sim
 {
 
 /**
@@ -30,7 +31,7 @@ namespace isol::ssd
 class FifoServer
 {
   public:
-    explicit FifoServer(sim::Simulator &sim) : sim_(sim) {}
+    explicit FifoServer(Simulator &sim) : sim_(sim) {}
 
     FifoServer(const FifoServer &) = delete;
     FifoServer &operator=(const FifoServer &) = delete;
@@ -57,7 +58,7 @@ class FifoServer
      * Returns the completion time.
      */
     SimTime
-    enqueue(SimTime service, sim::SmallCallback done)
+    enqueue(SimTime service, SmallCallback done)
     {
         SimTime end = book(service);
         sim_.at(end, std::move(done));
@@ -84,12 +85,12 @@ class FifoServer
     uint64_t jobs() const { return jobs_; }
 
   private:
-    sim::Simulator &sim_;
+    Simulator &sim_;
     SimTime busy_until_ = 0;
     SimTime busy_ns_ = 0;
     uint64_t jobs_ = 0;
 };
 
-} // namespace isol::ssd
+} // namespace isol::sim
 
-#endif // ISOL_SSD_RESOURCE_HH
+#endif // ISOL_SIM_FIFO_SERVER_HH

@@ -29,7 +29,6 @@ samsung980ProLike()
     cfg.link_bw = 3276 * MiB; // ~3.2 GiB/s effective host link
     cfg.write_cache_pages = 1024;
     cfg.gc_bg_threshold = 0.12;
-    cfg.gc_fg_threshold = 0.04;
     return cfg;
 }
 
@@ -56,7 +55,6 @@ optaneLike()
     cfg.link_bw = 2560 * MiB; // ~2.5 GiB/s
     cfg.write_cache_pages = 0; // writes are synchronous on Optane
     cfg.gc_bg_threshold = 0.0;
-    cfg.gc_fg_threshold = 0.0;
     return cfg;
 }
 

@@ -57,8 +57,8 @@ struct SsdConfig
     uint32_t write_cache_pages = 1024; //!< buffered pages before backpressure
 
     // --- Garbage collection ---
+    // The foreground-GC stall has no knob: see Ftl::kGcReservedBlocks.
     double gc_bg_threshold = 0.12; //!< start GC when free frac below this
-    double gc_fg_threshold = 0.04; //!< stall host writes below this
 
     /** Total dies in the device. */
     uint32_t numDies() const { return channels * dies_per_channel; }

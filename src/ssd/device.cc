@@ -34,7 +34,7 @@ SsdDevice::SsdDevice(sim::Simulator &sim, const SsdConfig &cfg,
     dies_.resize(dies);
     channels_.reserve(cfg_.channels);
     for (uint32_t i = 0; i < cfg_.channels; ++i)
-        channels_.push_back(std::make_unique<FifoServer>(sim_));
+        channels_.push_back(std::make_unique<sim::FifoServer>(sim_));
     pending_programs_.resize(dies);
     programs_inflight_.assign(dies, 0);
     gc_active_.assign(dies, false);
@@ -84,7 +84,7 @@ SsdDevice::transferTime(uint64_t bytes, uint64_t bw) const
         static_cast<double>(bytes) / static_cast<double>(bw) * 1e9);
 }
 
-FifoServer &
+sim::FifoServer &
 SsdDevice::channelOf(uint32_t die)
 {
     return *channels_[die / cfg_.dies_per_channel];

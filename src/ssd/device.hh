@@ -34,10 +34,10 @@
 #include "common/ring.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
+#include "sim/fifo_server.hh"
 #include "sim/simulator.hh"
 #include "ssd/config.hh"
 #include "ssd/ftl.hh"
-#include "ssd/resource.hh"
 
 namespace isol::ssd
 {
@@ -143,7 +143,7 @@ class SsdDevice
 
     SimTime transferTime(uint64_t bytes, uint64_t bw) const;
 
-    FifoServer &channelOf(uint32_t die);
+    sim::FifoServer &channelOf(uint32_t die);
 
     // Read pipeline ------------------------------------------------------
     struct ReadState
@@ -182,8 +182,8 @@ class SsdDevice
     Ftl ftl_;
 
     std::vector<DieQueue> dies_;
-    std::vector<std::unique_ptr<FifoServer>> channels_;
-    FifoServer link_;
+    std::vector<std::unique_ptr<sim::FifoServer>> channels_;
+    sim::FifoServer link_;
 
     // Request-pipeline pools: completion state lives in typed arenas
     // (raw pointers captured in events), not per-I/O shared_ptr boxes.

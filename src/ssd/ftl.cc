@@ -9,8 +9,6 @@ namespace isol::ssd
 
 namespace
 {
-// Blocks held back per die so GC always has somewhere to move pages.
-constexpr uint32_t kGcReservedBlocks = 1;
 // Victim slots between a mapping-entry prefetch and its GC move.
 constexpr uint32_t kMovePrefetch = 16;
 // Random-overwrite lpns drawn ahead of their write; a power of two. Each

@@ -47,6 +47,11 @@ struct PhysLoc
 class Ftl
 {
   public:
+    /** Free blocks held back per die so GC always has somewhere to move
+     *  pages. Host writes to a die stall (foreground GC) when its write
+     *  point is full and no more than this many blocks are free. */
+    static constexpr uint32_t kGcReservedBlocks = 1;
+
     explicit Ftl(const SsdConfig &cfg);
 
     /** Number of dies managed. */
@@ -87,9 +92,9 @@ class Ftl
     uint32_t nextHostWriteDie() const { return write_rr_; }
 
     /**
-     * True when `die` cannot currently accept a host write because free
-     * space is at/below the foreground-GC threshold (host writes must
-     * stall until GC frees a block).
+     * True when `die` cannot currently accept a host write: its write
+     * point is full and taking a fresh block would eat into the
+     * kGcReservedBlocks reserve. Host writes stall until GC frees a block.
      */
     bool hostWriteStalled(uint32_t die) const;
 

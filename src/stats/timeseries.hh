@@ -28,9 +28,6 @@ class TimeSeries
     /** Add `amount` at simulated time `when`. */
     void add(SimTime when, uint64_t amount);
 
-    /** Bin width in ns. */
-    SimTime binWidth() const { return bin_width_; }
-
     /** Number of bins (0..highest time seen). */
     size_t numBins() const { return bins_.size(); }
 

@@ -28,14 +28,10 @@ FioJob::FioJob(sim::Simulator &sim, JobSpec spec, blk::BlockDevice &bdev,
         fatal("FioJob: block_size must be > 0");
     if (spec_.iodepth == 0)
         fatal("FioJob: iodepth must be > 0");
-    if (spec_.range == 0)
-        spec_.range = bdev_.ssd().config().user_capacity;
+    blocks_ = std::max<uint64_t>(
+        bdev_.ssd().config().user_capacity / spec_.block_size, 1);
     if (spec_.read_fraction < 0.0 || spec_.read_fraction > 1.0)
         fatal("FioJob: read_fraction must be within [0, 1]");
-    if (spec_.hot_fraction < 0.0 || spec_.hot_fraction > 1.0 ||
-        spec_.hot_traffic < 0.0 || spec_.hot_traffic > 1.0) {
-        fatal("FioJob: hotspot parameters must be within [0, 1]");
-    }
     // Jobs configured with op=write default to an all-write mix.
     if (spec_.op == OpType::kWrite && spec_.read_fraction == 1.0)
         spec_.read_fraction = 0.0;
@@ -221,33 +217,12 @@ FioJob::issueNow(SimTime issue_start)
 }
 
 uint64_t
-pickHotspotBlock(Rng &rng, uint64_t blocks, double hot_fraction,
-                 double hot_traffic)
-{
-    uint64_t hot_blocks = std::max<uint64_t>(
-        static_cast<uint64_t>(hot_fraction * static_cast<double>(blocks)),
-        1);
-    if (rng.chance(hot_traffic) || hot_blocks >= blocks)
-        return rng.below(hot_blocks);
-    return hot_blocks + rng.below(blocks - hot_blocks);
-}
-
-uint64_t
 FioJob::pickOffset()
 {
-    uint64_t blocks = std::max<uint64_t>(
-        spec_.range / spec_.block_size, 1);
-    uint64_t block;
-    if (spec_.pattern == AccessPattern::kSequential) {
-        block = seq_cursor_++ % blocks;
-    } else if (spec_.hot_traffic > 0.0 && spec_.hot_fraction > 0.0) {
-        // Hotspot skew: most traffic hits the head of the region.
-        block = pickHotspotBlock(rng_, blocks, spec_.hot_fraction,
-                                 spec_.hot_traffic);
-    } else {
-        block = rng_.below(blocks);
-    }
-    return spec_.offset_base + block * spec_.block_size;
+    uint64_t block = spec_.pattern == AccessPattern::kSequential
+                         ? seq_cursor_++ % blocks_
+                         : rng_.below(blocks_);
+    return block * spec_.block_size;
 }
 
 OpType

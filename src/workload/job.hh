@@ -32,7 +32,7 @@ namespace isol::workload
 /**
  * Misbehaving-tenant profile a spec was built from. The mechanics live
  * in plain JobSpec fields (qd ramp, fsync barrier, reap stall, duty
- * cycle); the tag lets scenarios and reports count adversarial tenants.
+ * cycle); the tag only records which profile built the spec.
  * Catalog, parsing, and factories: workload/adversary.hh.
  */
 enum class AdversaryKind : uint8_t
@@ -59,19 +59,8 @@ struct JobSpec
     SimTime duration = secToNs(int64_t{1});
     SimTime burst_on = 0; //!< issue window of a duty cycle (0 = steady)
     SimTime burst_off = 0; //!< pause window of a duty cycle
-    uint64_t offset_base = 0; //!< start of this job's region
-    uint64_t range = 0; //!< region size (0 = whole device)
     uint64_t seed = 1;
     SimTime stats_bin = msToNs(100); //!< bandwidth time-series bin width
-
-    /**
-     * Skewed ("hotspot") random access, like fio's random_distribution:
-     * with probability `hot_traffic` an offset falls in the first
-     * `hot_fraction` of the region. Both zero disables skew. E.g.
-     * hot_fraction=0.2, hot_traffic=0.8 is the classic 80/20 pattern.
-     */
-    double hot_fraction = 0.0;
-    double hot_traffic = 0.0;
 
     // --- Chaos-plane mechanics (all off by default) ---
 
@@ -100,14 +89,6 @@ struct JobSpec
      */
     SimTime reap_stall = 0;
 };
-
-/**
- * Pick a block index under hotspot skew: with probability `hot_traffic`
- * the index falls in the first `hot_fraction` of `blocks`. Exposed as a
- * free function so the distribution is directly testable.
- */
-uint64_t pickHotspotBlock(Rng &rng, uint64_t blocks, double hot_fraction,
-                          double hot_traffic);
 
 /**
  * One running fio job.
@@ -208,6 +189,7 @@ class FioJob
     uint64_t flushes_ = 0;
     uint64_t issued_bytes_ = 0;
     SimTime pace_vtime_ = 0; //!< rate-limit virtual clock
+    uint64_t blocks_ = 1; //!< block_size blocks on the device
     uint64_t seq_cursor_ = 0;
     SimTime started_at_ = 0;
     sim::EventId pace_event_ = sim::kInvalidEventId;

@@ -196,7 +196,8 @@ TEST(Invariants, CleanAdversarialRunCountsChecks)
     ASSERT_NE(scenario.invariants(), nullptr);
     scenario.run();
     EXPECT_GT(scenario.invariants()->checksPerformed(), 0u);
-    EXPECT_EQ(scenario.adversaryTenants(), 1u);
+    EXPECT_EQ(scenario.app(1).spec().adversary,
+              workload::AdversaryKind::kQueueFlood);
 }
 
 TEST(Invariants, CorruptedIoMaxBucketIsCaught)

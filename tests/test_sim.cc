@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the discrete-event simulation engine.
+ * Unit tests for the discrete-event simulation engine and the FIFO
+ * resource server built on it.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 
 #include "common/rng.hh"
 #include "sim/event_queue.hh"
+#include "sim/fifo_server.hh"
 #include "sim/simulator.hh"
 #include "sim/small_function.hh"
 
@@ -906,6 +908,66 @@ TEST(PeriodicTimer, StartIsIdempotent)
     timer.start();
     sim.runUntil(100);
     EXPECT_EQ(fires, 1);
+}
+
+TEST(FifoServer, ServesSerially)
+{
+    Simulator sim;
+    FifoServer server(sim);
+    std::vector<SimTime> done;
+    server.enqueue(100, [&] { done.push_back(sim.now()); });
+    server.enqueue(50, [&] { done.push_back(sim.now()); });
+    sim.runAll();
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_EQ(done[0], 100);
+    EXPECT_EQ(done[1], 150); // waits for the first job
+}
+
+TEST(FifoServer, IdleGapsDoNotAccumulate)
+{
+    Simulator sim;
+    FifoServer server(sim);
+    SimTime second_done = 0;
+    server.enqueue(10, [] {});
+    sim.at(1000, [&] {
+        server.enqueue(10, [&] { second_done = sim.now(); });
+    });
+    sim.runAll();
+    EXPECT_EQ(second_done, 1010); // starts fresh after the idle gap
+    EXPECT_EQ(server.busyNs(), 20);
+    EXPECT_EQ(server.jobs(), 2u);
+}
+
+TEST(FifoServer, BacklogReporting)
+{
+    Simulator sim;
+    FifoServer server(sim);
+    EXPECT_FALSE(server.busy());
+    EXPECT_EQ(server.backlog(), 0);
+    server.enqueue(100, [] {});
+    EXPECT_TRUE(server.busy());
+    EXPECT_EQ(server.backlog(), 100);
+}
+
+TEST(FifoServer, BookMatchesEnqueueWithoutAnEvent)
+{
+    Simulator booked_sim;
+    Simulator queued_sim;
+    FifoServer booked(booked_sim);
+    FifoServer queued(queued_sim);
+    for (SimTime service : {100, 0, 50}) {
+        EXPECT_EQ(booked.book(service), queued.enqueue(service, [] {}));
+        EXPECT_EQ(booked.busyUntil(), queued.busyUntil());
+    }
+    EXPECT_TRUE(booked_sim.idle());
+    EXPECT_EQ(booked.busyNs(), queued.busyNs());
+    EXPECT_EQ(booked.jobs(), queued.jobs());
+    EXPECT_EQ(booked.backlog(), 150);
+    // A job booked after an idle gap starts fresh, like an enqueued one.
+    booked_sim.at(1000, [&] { EXPECT_EQ(booked.book(10), 1010); });
+    booked_sim.runAll();
+    EXPECT_EQ(booked.busyNs(), 160);
+    EXPECT_EQ(booked.jobs(), 4u);
 }
 
 } // namespace

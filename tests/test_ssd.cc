@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit and integration tests for the SSD model: FIFO resource servers,
- * FTL bookkeeping/GC, and end-to-end device behaviour (latency,
- * saturation, write cache, GC interference, Optane preset).
+ * Unit and integration tests for the SSD model: FTL bookkeeping/GC and
+ * end-to-end device behaviour (latency, saturation, write cache, GC
+ * interference, Optane preset).
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "ssd/config.hh"
 #include "ssd/device.hh"
 #include "ssd/ftl.hh"
-#include "ssd/resource.hh"
 #include "stats/histogram.hh"
 
 namespace isol::ssd
@@ -36,66 +35,6 @@ tinyFlash()
     cfg.pages_per_block = 32;
     cfg.overprovision = 0.25;
     return cfg;
-}
-
-TEST(FifoServer, ServesSerially)
-{
-    sim::Simulator sim;
-    FifoServer server(sim);
-    std::vector<SimTime> done;
-    server.enqueue(100, [&] { done.push_back(sim.now()); });
-    server.enqueue(50, [&] { done.push_back(sim.now()); });
-    sim.runAll();
-    ASSERT_EQ(done.size(), 2u);
-    EXPECT_EQ(done[0], 100);
-    EXPECT_EQ(done[1], 150); // waits for the first job
-}
-
-TEST(FifoServer, IdleGapsDoNotAccumulate)
-{
-    sim::Simulator sim;
-    FifoServer server(sim);
-    SimTime second_done = 0;
-    server.enqueue(10, [] {});
-    sim.at(1000, [&] {
-        server.enqueue(10, [&] { second_done = sim.now(); });
-    });
-    sim.runAll();
-    EXPECT_EQ(second_done, 1010); // starts fresh after the idle gap
-    EXPECT_EQ(server.busyNs(), 20);
-    EXPECT_EQ(server.jobs(), 2u);
-}
-
-TEST(FifoServer, BacklogReporting)
-{
-    sim::Simulator sim;
-    FifoServer server(sim);
-    EXPECT_FALSE(server.busy());
-    EXPECT_EQ(server.backlog(), 0);
-    server.enqueue(100, [] {});
-    EXPECT_TRUE(server.busy());
-    EXPECT_EQ(server.backlog(), 100);
-}
-
-TEST(FifoServer, BookMatchesEnqueueWithoutAnEvent)
-{
-    sim::Simulator booked_sim;
-    sim::Simulator queued_sim;
-    FifoServer booked(booked_sim);
-    FifoServer queued(queued_sim);
-    for (SimTime service : {100, 0, 50}) {
-        EXPECT_EQ(booked.book(service), queued.enqueue(service, [] {}));
-        EXPECT_EQ(booked.busyUntil(), queued.busyUntil());
-    }
-    EXPECT_TRUE(booked_sim.idle());
-    EXPECT_EQ(booked.busyNs(), queued.busyNs());
-    EXPECT_EQ(booked.jobs(), queued.jobs());
-    EXPECT_EQ(booked.backlog(), 150);
-    // A job booked after an idle gap starts fresh, like an enqueued one.
-    booked_sim.at(1000, [&] { EXPECT_EQ(booked.book(10), 1010); });
-    booked_sim.runAll();
-    EXPECT_EQ(booked.busyNs(), 160);
-    EXPECT_EQ(booked.jobs(), 4u);
 }
 
 TEST(Ftl, GeometryDerivation)
@@ -270,6 +209,46 @@ TEST(Ftl, OptaneHoldsNoMaps)
     EXPECT_EQ(ftl.tableBytes(), 0u);
     EXPECT_FALSE(ftl.mapped(3));
     EXPECT_EQ(ftl.lookupRead(3).die, 3 % ftl.numDies());
+    std::string error;
+    EXPECT_TRUE(ftl.checkInvariants(&error)) << error;
+}
+
+TEST(Ftl, HostWritesStallOnTheGcReserveUntilAnErase)
+{
+    // One die, so every host write lands on the die under test.
+    SsdConfig cfg = tinyFlash();
+    cfg.channels = 1;
+    cfg.dies_per_channel = 1;
+    cfg.user_capacity = 1 * MiB;
+    cfg.overprovision = 1.0;
+    Ftl ftl(cfg);
+    const uint64_t ppb = cfg.pages_per_block;
+    const uint64_t lpns = cfg.numLogicalPages();
+    const uint32_t blocks = ftl.blocksPerDie();
+    auto free_blocks = [&] {
+        return static_cast<uint32_t>(ftl.freeFraction(0) * blocks + 0.5);
+    };
+
+    // Cycle over the logical space, so by the time the die runs out of
+    // free blocks its oldest block holds only stale pages.
+    uint64_t lpn = 0;
+    while (!ftl.hostWriteStalled(0)) {
+        ASSERT_LT(ftl.hostPagesWritten(), blocks * ppb);
+        ftl.commitHostWrite(lpn++ % lpns, 0);
+    }
+    // Every block but the reserve is written full, write point included:
+    // the stall comes neither earlier nor later.
+    EXPECT_EQ(ftl.hostPagesWritten(),
+              (blocks - Ftl::kGcReservedBlocks) * ppb);
+    EXPECT_EQ(free_blocks(), Ftl::kGcReservedBlocks);
+
+    // The stale block needs no move; erasing it ends the stall.
+    EXPECT_FALSE(ftl.gcHasMove(0));
+    ASSERT_TRUE(ftl.victimReadyForErase(0));
+    ftl.gcCommitErase(0);
+    EXPECT_FALSE(ftl.hostWriteStalled(0));
+    EXPECT_EQ(free_blocks(), Ftl::kGcReservedBlocks + 1);
+    ftl.commitHostWrite(lpn % lpns, 0);
     std::string error;
     EXPECT_TRUE(ftl.checkInvariants(&error)) << error;
 }

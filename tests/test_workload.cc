@@ -2,8 +2,7 @@
  * @file
  * Tests for the fio-like workload generator: queue-depth maintenance,
  * rate limiting, sequential/random offsets, read/write mixes, bursts,
- * cgroup attach/detach, measure-window statistics, and hotspot access
- * skew.
+ * cgroup attach/detach and measure-window statistics.
  */
 
 #include <gtest/gtest.h>
@@ -106,12 +105,10 @@ TEST_F(JobFixture, SequentialOffsetsAdvance)
 {
     JobSpec spec = lcApp("seq", msToNs(50));
     spec.pattern = AccessPattern::kSequential;
-    spec.offset_base = 1 * MiB;
-    spec.range = 64 * KiB; // wraps after 16 x 4 KiB
     auto job = makeJob(spec);
     job->schedule();
     sim.runUntil(msToNs(60));
-    EXPECT_GT(job->totalIos(), 16u); // wrapped at least once
+    EXPECT_GT(job->totalIos(), 16u);
 }
 
 TEST_F(JobFixture, MixedReadWrite)
@@ -232,80 +229,6 @@ TEST_F(JobFixture, AppProfilesMatchPaperShapes)
     EXPECT_EQ(fig2.block_size, 64 * KiB);
     EXPECT_EQ(fig2.iodepth, 8u);
     EXPECT_EQ(fig2.rate_bps, 1536 * MiB);
-}
-
-// --- Hotspot access skew ---------------------------------------------------
-
-TEST_F(JobFixture, HotspotSkewConcentratesTraffic)
-{
-    JobSpec spec = lcApp("hot", msToNs(300));
-    spec.iodepth = 8;
-    spec.range = 1 * GiB;
-    spec.hot_fraction = 0.2;
-    spec.hot_traffic = 0.8;
-    FioJob job(sim, spec, bdev, cpus.core(1), host::ioUringEngine(),
-               tree, cg, 2);
-    job.schedule();
-
-    // Count completions by region via the device byte counters is not
-    // possible; instead sample pickOffset indirectly through a custom
-    // spot check: run and verify the job completed plenty of I/O, then
-    // rely on the distribution test below.
-    sim.runUntil(msToNs(300));
-    EXPECT_GT(job.totalIos(), 1000u);
-}
-
-TEST(HotspotDistribution, EightyTwenty)
-{
-    Rng rng(17);
-    const uint64_t blocks = 100000;
-    uint64_t hot_hits = 0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i) {
-        uint64_t block = pickHotspotBlock(rng, blocks, 0.2, 0.8);
-        ASSERT_LT(block, blocks);
-        hot_hits += block < blocks / 5;
-    }
-    EXPECT_NEAR(static_cast<double>(hot_hits) / n, 0.8, 0.02);
-}
-
-TEST(HotspotDistribution, UniformWithinRegions)
-{
-    Rng rng(19);
-    const uint64_t blocks = 1000;
-    std::vector<int> counts(10, 0);
-    for (int i = 0; i < 100000; ++i) {
-        uint64_t block = pickHotspotBlock(rng, blocks, 0.5, 0.5);
-        ++counts[block / 100];
-    }
-    // 50/50 over halves: each decile within a half is ~equal.
-    for (int d = 0; d < 5; ++d)
-        EXPECT_NEAR(counts[d], 10000, 800) << "hot decile " << d;
-    for (int d = 5; d < 10; ++d)
-        EXPECT_NEAR(counts[d], 10000, 800) << "cold decile " << d;
-}
-
-TEST(HotspotDistribution, DegenerateFractionCoversRegion)
-{
-    Rng rng(23);
-    for (int i = 0; i < 1000; ++i) {
-        EXPECT_LT(pickHotspotBlock(rng, 1, 0.2, 0.8), 1u);
-        EXPECT_LT(pickHotspotBlock(rng, 10, 1.0, 0.5), 10u);
-    }
-}
-
-TEST(HotspotDistribution, SpecValidation)
-{
-    sim::Simulator sim;
-    cgroup::CgroupTree tree;
-    ssd::SsdDevice ssd_dev(sim, ssd::samsung980ProLike(), 41);
-    blk::BlockDevice bdev(sim, tree, ssd_dev, blk::BlockDeviceConfig{});
-    host::CpuSet cpus(sim, 1);
-    JobSpec bad = batchApp("hot", msToNs(10));
-    bad.hot_fraction = 1.5;
-    EXPECT_THROW(FioJob(sim, bad, bdev, cpus.core(0),
-                        host::ioUringEngine(), tree, nullptr, 2),
-                 FatalError);
 }
 
 } // namespace

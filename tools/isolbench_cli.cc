@@ -42,6 +42,7 @@
  *     --app class=be,cgroup=be,count=4 --set prio:io.weight=10000
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -174,12 +175,12 @@ parseApp(const std::string &text)
             app.cgroup = value;
         } else if (key == "qd") {
             auto parsed = parseUint(value);
-            if (!parsed || *parsed == 0)
+            if (!parsed || *parsed == 0 || *parsed > UINT32_MAX)
                 usageError("bad qd '" + value + "'");
             app.spec.iodepth = static_cast<uint32_t>(*parsed);
         } else if (key == "bs") {
             auto parsed = parseSize(value);
-            if (!parsed || *parsed == 0)
+            if (!parsed || *parsed == 0 || *parsed > UINT32_MAX)
                 usageError("bad bs '" + value + "'");
             app.spec.block_size = static_cast<uint32_t>(*parsed);
         } else if (key == "rw") {
@@ -212,7 +213,7 @@ parseApp(const std::string &text)
             app.spec.duration = *parsed;
         } else if (key == "count") {
             auto parsed = parseUint(value);
-            if (!parsed || *parsed == 0)
+            if (!parsed || *parsed == 0 || *parsed > UINT32_MAX)
                 usageError("bad count '" + value + "'");
             app.count = static_cast<uint32_t>(*parsed);
         } else if (!key.empty()) {

@@ -2,10 +2,12 @@
 # Sanitizer smoke for the simulator:
 #   1. ASan+UBSan build: quickstart example + io.cost CLI scenario
 #      (the `smoke` target), an isol_lint pass over the tree (so the
-#      lint tool itself runs sanitized), and a short isol_fuzz campaign
+#      lint tool itself runs sanitized), the 64-seed isol_fuzz campaign
 #      with runtime invariants on plus its planted-bug mutation run —
 #      adversaries, every knob and the invariant hooks all under the
-#      sanitizer.
+#      sanitizer — the hierarchy property tests, and a 256-tenant
+#      fleet_scale run with invariants on, then diffed across
+#      --jobs 1/2/8.
 #   2. TSan build: the event-queue and simulator unit tests, then the
 #      sweep-engine determinism tests and every sweep::map caller (the
 #      quick fig5, fig7, table1 and calibration benches, a small fleet
@@ -31,10 +33,19 @@ if ! "$ASAN_DIR/tools/isol_lint/isol_lint" --root "$SRC_DIR"; then
         "suppressions); failing the smoke" >&2
     exit 1
 fi
-"$ASAN_DIR/tools/isol_fuzz/isol_fuzz" --seeds 16 --jobs 4 \
+"$ASAN_DIR/tools/isol_fuzz/isol_fuzz" --seeds 64 --jobs 8 \
     --check-invariants
-"$ASAN_DIR/tools/isol_fuzz/isol_fuzz" --seeds 2 --jobs 1 \
+"$ASAN_DIR/tools/isol_fuzz/isol_fuzz" --seeds 4 --jobs 1 \
     --mutate bucket --check-invariants --expect-violations
+"$ASAN_DIR/tests/test_hierarchy"
+(cd "$ASAN_DIR" && ISOL_FLEET_TENANTS=256 ISOL_CHECK_INVARIANTS=1 \
+    ./bench/fleet_scale --jobs 2 >/dev/null)
+for j in 1 2 8; do
+    (cd "$ASAN_DIR" && ISOL_FLEET_TENANTS=256 ./bench/fleet_scale \
+        --jobs "$j" > "fleet_j$j.out")
+done
+diff "$ASAN_DIR/fleet_j1.out" "$ASAN_DIR/fleet_j2.out"
+diff "$ASAN_DIR/fleet_j1.out" "$ASAN_DIR/fleet_j8.out"
 
 echo "== TSan =="
 cmake -S "$SRC_DIR" -B "$TSAN_DIR" -DISOL_SANITIZE=thread

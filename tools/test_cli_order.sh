@@ -8,10 +8,12 @@
 # It also requires an app that starts at or after --duration to be a
 # usage error (exit 2), whichever of the two comes first, and so are a
 # --warmup not shorter than --duration, a --duration over its one-hour
-# ceiling, and a time in ms whose ns do not fit SimTime (--duration,
-# --warmup, start=, dur=). The over-long duration runs under a 1 GiB
-# address-space limit where the binary can start under one, so a run
-# that tries to allocate for it fails fast instead of eating memory.
+# ceiling, a time in ms whose ns do not fit SimTime (--duration,
+# --warmup, start=, dur=), and a qd=, bs= or count= over 32 bits (a
+# narrowing would wrap it to a small or zero value). The over-long
+# duration runs under a 1 GiB address-space limit where the binary can
+# start under one, so a run that tries to allocate for it fails fast
+# instead of eating memory.
 #
 # Usage: tools/test_cli_order.sh path/to/isolbench
 set -eu
@@ -54,6 +56,10 @@ usage "$RUN --app $APP,dur=18446744073709551"
 usage "--knob none --duration 300 --warmup 300 --app $APP"
 usage "--knob none --warmup 301 --app $APP --duration 300"
 usage "--knob none --duration 3600001 --app $APP"
+usage "$RUN --app name=a,class=lc,cgroup=a,bs=4294971392"
+usage "$RUN --app $APP,bs=8589934592"
+usage "$RUN --app $APP,qd=4294967297"
+usage "$RUN --app $APP,count=4294967296"
 HUGE="--knob none --duration 9223372036854 \
 --app name=a,class=lc,start=9223372036853"
 # An ASan build cannot start under the limit (its shadow memory needs
