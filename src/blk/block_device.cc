@@ -59,14 +59,11 @@ BlockDevice::BlockDevice(sim::Simulator &sim, cgroup::CgroupTree &tree,
     switch (cfg_.qos) {
       case QosType::kNone:
         return;
-      case QosType::kIoMax: {
-        auto gate = std::make_unique<IoMaxGate>(sim_, cfg_.dev_id, tree_,
-                                                enter_tags);
-        gate->setDebugCorruptBucket(cfg_.debug_corrupt_iomax_bucket);
-        qos_ = std::move(gate);
+      case QosType::kIoMax:
+        qos_ = std::make_unique<IoMaxGate>(sim_, cfg_.dev_id, tree_,
+                                           enter_tags);
         cpu_extra_ += kIoMaxCpu;
         break;
-      }
       case QosType::kIoLatency:
         qos_ = std::make_unique<IoLatencyGate>(
             sim_, cfg_.dev_id, tree_, enter_tags, cfg_.iolat_params);
@@ -74,7 +71,7 @@ BlockDevice::BlockDevice(sim::Simulator &sim, cgroup::CgroupTree &tree,
         break;
       case QosType::kIoCost:
         qos_ = std::make_unique<IoCostGate>(
-            sim_, cfg_.dev_id, tree_, enter_tags, cfg_.iocost_params);
+            sim_, cfg_.dev_id, tree_, enter_tags);
         cpu_extra_ += kIoCostCpu;
         break;
     }

@@ -57,7 +57,6 @@ struct BlockDeviceConfig
 
     BfqParams bfq_params;
     IoLatencyParams iolat_params;
-    IoCostParams iocost_params;
 
     /**
      * mq-deadline's scheduler-lock hold time per acquisition (BFQ's is
@@ -75,9 +74,6 @@ struct BlockDeviceConfig
      * the Scenario, not the device.
      */
     sim::InvariantChecker *invariants = nullptr;
-
-    /** Negative-test mutation: corrupt an io.max token bucket. */
-    bool debug_corrupt_iomax_bucket = false;
 };
 
 /**

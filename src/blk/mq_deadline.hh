@@ -74,12 +74,6 @@ class MqDeadline : public Elevator
         OpType batch_dir = OpType::kRead;
         int starved = 0;
         uint32_t inflight = 0; //!< dispatched, not yet completed
-
-        bool
-        hasQueued() const
-        {
-            return !read.fifo.empty() || !write.fifo.empty();
-        }
     };
 
     static Level levelOf(const Request &req);

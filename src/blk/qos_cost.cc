@@ -33,9 +33,8 @@ constexpr double kVrateStepUp = 0.05;
 } // namespace
 
 IoCostGate::IoCostGate(sim::Simulator &sim, cgroup::DeviceId dev,
-                       cgroup::CgroupTree &tree, PassFn pass,
-                       IoCostParams params)
-    : RqQos(sim, dev, tree, std::move(pass)), params_(params)
+                       cgroup::CgroupTree &tree, PassFn pass)
+    : RqQos(sim, dev, tree, std::move(pass))
 {
     cgroup::IoCostQos qos = tree_.costQos(dev_);
     vrate_ = qos.vrate_max / 100.0;
@@ -419,8 +418,7 @@ IoCostGate::periodWork()
         }
     }
     ensureShares();
-    if (params_.enable_donation)
-        donateShares();
+    donateShares();
 
     // QoS: compare windowed device latencies against the targets and
     // scale vrate within [min, max].

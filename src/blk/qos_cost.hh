@@ -45,14 +45,6 @@
 namespace isol::blk
 {
 
-/** Ablation switches (not cgroup knobs). */
-struct IoCostParams
-{
-    /** Ablation switch: disable hweight donation (surplus budget stays
-     *  stranded with high-weight low-usage groups). */
-    bool enable_donation = true;
-};
-
 /**
  * Per-device io.cost controller.
  */
@@ -64,10 +56,10 @@ class IoCostGate : public RqQos
         sim::SmallFunction<void(SimTime, sim::SmallCallback)>;
 
     IoCostGate(sim::Simulator &sim, cgroup::DeviceId dev,
-               cgroup::CgroupTree &tree, PassFn pass,
-               IoCostParams params = {});
+               cgroup::CgroupTree &tree, PassFn pass);
 
-    /** Optional: route the period-timer work through a CPU core. */
+    /** Route the period-timer work through a CPU core (nullptr, the
+     *  default: the work costs no CPU time). */
     void setCpuCharge(CpuChargeFn fn) { cpu_charge_ = std::move(fn); }
 
     /** Arm the period timer. */
@@ -182,7 +174,6 @@ class IoCostGate : public RqQos
     void periodTick();
     void periodWork();
 
-    IoCostParams params_;
     CpuChargeFn cpu_charge_;
 
     /** Group states in a flat dense-id arena, iterated in registration

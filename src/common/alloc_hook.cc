@@ -16,11 +16,7 @@ thread_local AllocCounters t_counters;
 bool
 allocCountingEnabled()
 {
-#ifdef ISOL_COUNT_ALLOCS
     return true;
-#else
-    return false;
-#endif
 }
 
 AllocCounters
@@ -36,8 +32,6 @@ resetAllocCounters()
 }
 
 } // namespace isol::common
-
-#ifdef ISOL_COUNT_ALLOCS
 
 namespace
 {
@@ -180,5 +174,3 @@ operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     countedFree(p);
 }
-
-#endif // ISOL_COUNT_ALLOCS

@@ -113,9 +113,7 @@ Scenario::buildDevices()
         blk::BlockDeviceConfig bcfg;
         bcfg.dev_id = i;
         bcfg.invariants = inv_.get();
-        bcfg.debug_corrupt_iomax_bucket = cfg_.debug_corrupt_iomax_bucket;
         bcfg.bfq_params = cfg_.bfq_params;
-        bcfg.iocost_params = cfg_.iocost_params;
         switch (cfg_.knob) {
           case Knob::kNone:
             break;
@@ -150,14 +148,11 @@ Scenario::buildDevices()
                 tree_.setCostQos(i, disabledCostQos());
             }
             // The iocost period timer is kernel work on CPU 0.
-            if (cfg_.iocost_timer_on_cpu) {
-                host::CpuCore &core = cpus_->core(0);
-                bdev->ioCostGate()->setCpuCharge(
-                    [&core](SimTime work, sim::SmallCallback done) {
-                        core.charge(host::kKernelTask, work,
-                                    std::move(done));
-                    });
-            }
+            host::CpuCore &core = cpus_->core(0);
+            bdev->ioCostGate()->setCpuCharge(
+                [&core](SimTime work, sim::SmallCallback done) {
+                    core.charge(host::kKernelTask, work, std::move(done));
+                });
         }
         ssds_.push_back(std::move(ssd));
         bdevs_.push_back(std::move(bdev));

@@ -85,12 +85,6 @@ struct ScenarioConfig
     /** BFQ tunables (e.g. slice_idle=0 for the D1 experiments). */
     blk::BfqParams bfq_params;
 
-    /** io.cost mechanism tunables (ablation studies). */
-    blk::IoCostParams iocost_params;
-
-    /** Ablation: run the iocost period timer as host CPU work. */
-    bool iocost_timer_on_cpu = true;
-
     /**
      * Runtime invariant checking (sim/invariants.hh). Defaults to the
      * process-wide opt-in (`--check-invariants` flag or the
@@ -98,12 +92,6 @@ struct ScenarioConfig
      * null-pointer test.
      */
     bool check_invariants = sim::checkInvariantsDefault();
-
-    /**
-     * Negative-test mutation: deliberately corrupt an io.max token
-     * bucket mid-run so the invariant checker has something to catch.
-     */
-    bool debug_corrupt_iomax_bucket = false;
 };
 
 /** The paper-default generated cost model (~2.3 GiB/s read saturation). */

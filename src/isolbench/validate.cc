@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "isolbench/scenario.hh"
+#include "sim/invariants.hh"
 
 namespace isol::isolbench::validate
 {
@@ -120,7 +121,7 @@ enforce(const std::vector<Issue> &issues, const std::string &context)
         msg += strCat(" [", issue.check, "] ", issue.detail, ";");
     if (msg.back() == ';')
         msg.pop_back();
-    throw InvariantViolation(msg);
+    throw sim::InvariantViolation(msg);
 }
 
 } // namespace isol::isolbench::validate

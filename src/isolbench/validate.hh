@@ -7,9 +7,10 @@
  * over cheap structural invariants — I/O conservation (submitted ==
  * completed + outstanding), non-negative finite
  * throughput, monotone latency percentiles (p50 <= p95 <= p99), CPU
- * utilisation inside [0, 1] — and a violation raises a structured
- * InvariantViolation. It propagates out of the sweep, so the bench
- * exits non-zero instead of printing the bad result.
+ * utilisation inside [0, 1] — and a violation throws
+ * sim::InvariantViolation, the type the runtime checker throws. It
+ * propagates out of the sweep, so the bench exits non-zero instead of
+ * printing the bad result.
  *
  * The individual checks are pure functions over plain numbers so tests
  * can feed them doctored results without building a simulation.
@@ -19,7 +20,6 @@
 #define ISOL_ISOLBENCH_VALIDATE_HH
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,16 +30,6 @@ class Scenario;
 
 namespace validate
 {
-
-/** Thrown by enforce(): a completed run produced inconsistent results. */
-class InvariantViolation : public std::runtime_error
-{
-  public:
-    explicit InvariantViolation(const std::string &msg)
-        : std::runtime_error(msg)
-    {
-    }
-};
 
 /** One failed invariant: which check, and the offending numbers. */
 struct Issue
@@ -72,7 +62,7 @@ void checkRatio(std::vector<Issue> &issues, const std::string &who,
 /** Run every invariant over a completed scenario. */
 std::vector<Issue> checkScenario(Scenario &scenario);
 
-/** Throw InvariantViolation listing `issues`; no-op when empty. */
+/** Throw sim::InvariantViolation listing `issues`; no-op when empty. */
 void enforce(const std::vector<Issue> &issues, const std::string &context);
 
 } // namespace validate

@@ -51,14 +51,15 @@ Ftl::Ftl(const SsdConfig &cfg)
                            pages_per_block_;
     if (user_blocks + kGcReservedBlocks + 2 > blocks_per_die_)
         fatal("Ftl: overprovisioning too small for the geometry");
-    spare_blocks_ = blocks_per_die_ - static_cast<uint32_t>(user_blocks);
+    uint32_t spare_blocks =
+        blocks_per_die_ - static_cast<uint32_t>(user_blocks);
     auto configured = static_cast<uint32_t>(
         cfg_.gc_bg_threshold * static_cast<double>(blocks_per_die_));
     // Start GC at the configured fraction, clamped to what the spare
     // space can actually sustain, and never below the hard reserve.
     gc_start_free_ = std::max<uint32_t>(
         kGcReservedBlocks + 1,
-        std::min(configured, spare_blocks_ * 3 / 5));
+        std::min(configured, spare_blocks * 3 / 5));
 
     dies_.resize(num_dies_);
     for (auto &die : dies_) {

@@ -86,12 +86,6 @@ class Ftl
     }
 
     /**
-     * Die that the next host write will go to (global round-robin write
-     * pointer). Does not advance the pointer.
-     */
-    uint32_t nextHostWriteDie() const { return write_rr_; }
-
-    /**
      * True when `die` cannot currently accept a host write: its write
      * point is full and taking a fresh block would eat into the
      * kGcReservedBlocks reserve. Host writes stall until GC frees a block.
@@ -142,12 +136,6 @@ class Ftl
 
     /** Free-space fraction (free blocks / total blocks) on `die`. */
     double freeFraction(uint32_t die) const;
-
-    /** Free blocks below which background GC starts (spare-aware). */
-    uint32_t gcStartFreeBlocks() const { return gc_start_free_; }
-
-    /** Spare (overprovisioned) blocks per die. */
-    uint32_t spareBlocksPerDie() const { return spare_blocks_; }
 
     /**
      * Instant preconditioning: sequentially write `fill_fraction` of the
@@ -299,7 +287,6 @@ class Ftl
     uint32_t pages_per_block_;
     uint64_t num_lpns_;
     uint64_t filled_lpns_ = 0; //!< prefix written by the sequential fill
-    uint32_t spare_blocks_ = 0;
     uint32_t gc_start_free_ = 2;
 
     //! lpn -> packed loc (kUnmappedEntry); empty until the first write

@@ -37,7 +37,6 @@ adversaryApp(AdversaryKind kind, const std::string &name, SimTime duration)
     JobSpec spec;
     spec.name = name;
     spec.duration = duration;
-    spec.adversary = kind;
     switch (kind) {
       case AdversaryKind::kNone:
         fatal("adversaryApp: kNone is not an adversary");

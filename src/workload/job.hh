@@ -30,9 +30,8 @@ namespace isol::workload
 {
 
 /**
- * Misbehaving-tenant profile a spec was built from. The mechanics live
- * in plain JobSpec fields (qd ramp, fsync barrier, reap stall, duty
- * cycle); the tag only records which profile built the spec.
+ * Misbehaving-tenant profile. adversaryApp() turns it into plain
+ * JobSpec fields (qd ramp, fsync barrier, reap stall, duty cycle).
  * Catalog, parsing, and factories: workload/adversary.hh.
  */
 enum class AdversaryKind : uint8_t
@@ -63,9 +62,6 @@ struct JobSpec
     SimTime stats_bin = msToNs(100); //!< bandwidth time-series bin width
 
     // --- Chaos-plane mechanics (all off by default) ---
-
-    /** Adversary profile this spec models (reporting tag only). */
-    AdversaryKind adversary = AdversaryKind::kNone;
 
     /**
      * Queue-depth ramp (queue-flooder): start with this effective depth
@@ -126,9 +122,6 @@ class FioJob
 
     /** I/Os currently outstanding (submitted, not yet reaped). */
     uint32_t inflight() const { return inflight_; }
-
-    /** Current effective queue-depth cap (qd ramp; == iodepth when off). */
-    uint32_t depthLimit() const { return depth_limit_; }
 
     /** Completed fsync barriers (flush-storm adversary). */
     uint64_t flushes() const { return flushes_; }

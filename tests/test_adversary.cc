@@ -196,8 +196,10 @@ TEST(Invariants, CleanAdversarialRunCountsChecks)
     ASSERT_NE(scenario.invariants(), nullptr);
     scenario.run();
     EXPECT_GT(scenario.invariants()->checksPerformed(), 0u);
-    EXPECT_EQ(scenario.app(1).spec().adversary,
-              workload::AdversaryKind::kQueueFlood);
+    // The adversary runs the queue-flood mechanics: a QD ramp from 4
+    // up to a 512-deep cap.
+    EXPECT_EQ(scenario.app(1).spec().qd_ramp_start, 4u);
+    EXPECT_EQ(scenario.app(1).spec().iodepth, 512u);
 }
 
 TEST(Invariants, CorruptedIoMaxBucketIsCaught)
@@ -210,13 +212,13 @@ TEST(Invariants, CorruptedIoMaxBucketIsCaught)
     cfg.duration = msToNs(120);
     cfg.warmup = msToNs(30);
     cfg.check_invariants = true;
-    cfg.debug_corrupt_iomax_bucket = true;
 
     Scenario scenario(cfg);
     scenario.addApp(workload::lcApp("victim", cfg.duration), "lc");
     scenario.addAdversary(workload::AdversaryKind::kQueueFlood, "adv");
     scenario.tree().writeFile(scenario.group("adv"), "io.max",
                               "259:0 rbps=67108864");
+    scenario.device(0).ioMaxGate()->setDebugCorruptBucket(true);
     EXPECT_THROW(scenario.run(), sim::InvariantViolation);
 }
 
@@ -230,13 +232,13 @@ TEST(Invariants, CorruptionGoesUnnoticedWhenCheckingIsOff)
     cfg.duration = msToNs(120);
     cfg.warmup = msToNs(30);
     cfg.check_invariants = false;
-    cfg.debug_corrupt_iomax_bucket = true;
 
     Scenario scenario(cfg);
     scenario.addApp(workload::lcApp("victim", cfg.duration), "lc");
     scenario.addAdversary(workload::AdversaryKind::kQueueFlood, "adv");
     scenario.tree().writeFile(scenario.group("adv"), "io.max",
                               "259:0 rbps=67108864");
+    scenario.device(0).ioMaxGate()->setDebugCorruptBucket(true);
     EXPECT_EQ(scenario.invariants(), nullptr);
     scenario.run(); // must not throw: hooks are null-pointer tests
     EXPECT_GT(scenario.aggregateGiBs(), 0.0);

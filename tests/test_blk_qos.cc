@@ -554,37 +554,6 @@ TEST_F(QosFixture, IoCostDonationReassignsUnusedBudget)
     EXPECT_GE(passed_b, 1900);
 }
 
-TEST_F(QosFixture, IoCostDonationCanBeDisabled)
-{
-    cgroup::IoCostModel model;
-    model.user = true;
-    model.rbps = 100ull * GiB;
-    model.rrandiops = 10000;
-    tree.setCostModel(0, model);
-    cgroup::IoCostQos qos;
-    qos.rpct = 0.0;
-    qos.wpct = 0.0;
-    tree.setCostQos(0, qos);
-    tree.writeFile(*cg_a, "io.weight", "10000");
-    tree.writeFile(*cg_b, "io.weight", "100");
-
-    IoCostParams params;
-    params.enable_donation = false;
-    int passed_b = 0;
-    IoCostGate gate(sim, 0, tree,
-                    [&](Request *req) { passed_b += req->cg == cg_b; },
-                    params);
-    gate.start();
-    for (int t = 1; t <= 50; ++t) {
-        sim.at(msToNs(t * 10), [&] { gate.submit(makeReq(cg_a)); });
-        for (int k = 0; k < 40; ++k)
-            sim.at(msToNs(t * 2), [&] { gate.submit(makeReq(cg_b)); });
-    }
-    sim.runUntil(msToNs(500));
-    // cg_b stays pinned to ~1% of the model rate.
-    EXPECT_LT(passed_b, 500);
-}
-
 TEST_F(QosFixture, IoCostFifoWithinGroup)
 {
     cgroup::IoCostModel model;

@@ -18,6 +18,7 @@
 #include "isolbench/scenario.hh"
 #include "isolbench/validate.hh"
 #include "stats/fairness.hh"
+#include "stats/histogram.hh"
 
 namespace isol::isolbench
 {
@@ -141,7 +142,7 @@ TEST(Validate, DoctoredResultsFailValidation)
     try {
         validate::enforce(issues, "doctored");
         FAIL() << "expected InvariantViolation";
-    } catch (const validate::InvariantViolation &e) {
+    } catch (const sim::InvariantViolation &e) {
         std::string what = e.what();
         EXPECT_NE(what.find("doctored"), std::string::npos);
         EXPECT_NE(what.find("io-conservation"), std::string::npos);
@@ -178,6 +179,37 @@ TEST(D1, IoCostLatencyOverheadPastCpuSaturation)
     auto none1 = runLcScaling(Knob::kNone, 1, fastD1());
     auto cost1 = runLcScaling(Knob::kIoCost, 1, fastD1());
     EXPECT_LT(cost1.p99_us, none1.p99_us * 1.10);
+}
+
+// O1's mechanism: the io.cost overhead past CPU saturation is the period
+// timer's work on the saturated core. The 16-app io.cost run of
+// runLcScaling with that CPU charge detached stays within 10% of none.
+TEST(D1, IoCostOverheadIsThePeriodTimersCpu)
+{
+    const D1Options opts = fastD1();
+    auto none = runLcScaling(Knob::kNone, 16, opts);
+
+    ScenarioConfig cfg;
+    cfg.name = "d1-lc-io.cost-16-timer-off-cpu";
+    cfg.knob = Knob::kIoCost;
+    cfg.num_cores = 1;
+    cfg.duration = opts.duration;
+    cfg.warmup = opts.warmup;
+    cfg.seed = opts.seed;
+    applyOverheadKnobDefaults(cfg);
+    Scenario scenario(cfg);
+    for (uint32_t i = 0; i < 16; ++i) {
+        std::string name = "lc" + std::to_string(i);
+        scenario.addApp(workload::lcApp(name, cfg.duration), name);
+    }
+    applyNoopGroupLimits(scenario);
+    scenario.device(0).ioCostGate()->setCpuCharge(nullptr);
+    scenario.run();
+
+    stats::Histogram merged;
+    for (uint32_t i = 0; i < 16; ++i)
+        merged.merge(scenario.app(i).latency());
+    EXPECT_LT(nsToUs(merged.percentile(99)), none.p99_us * 1.10);
 }
 
 TEST(D1, CpuUtilizationScalesWithApps)

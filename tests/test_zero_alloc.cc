@@ -51,9 +51,6 @@ totalIos(Scenario &scenario)
 
 TEST(ZeroAlloc, SteadyStateHotPathDoesNotAllocate)
 {
-    if (!common::allocCountingEnabled())
-        GTEST_SKIP() << "built without ISOL_COUNT_ALLOCS";
-
     ScenarioConfig cfg;
     cfg.knob = Knob::kIoCost;
     cfg.duration = msToNs(600);
@@ -89,9 +86,6 @@ TEST(ZeroAlloc, SteadyStateHotPathDoesNotAllocate)
 
 TEST(ZeroAlloc, EventQueueMixDoesNotAllocate)
 {
-    if (!common::allocCountingEnabled())
-        GTEST_SKIP() << "built without ISOL_COUNT_ALLOCS";
-
     // A mixed timer load on a bare queue: 8192 live clustered timers,
     // every step pops one and reschedules it, and every eighth step also
     // schedules a 10 ms timer that a later batch cancels. Each pass
@@ -150,9 +144,6 @@ TEST(ZeroAlloc, EventQueueMixDoesNotAllocate)
 
 TEST(ZeroAlloc, SteadyStateInteriorIoMaxDoesNotAllocate)
 {
-    if (!common::allocCountingEnabled())
-        GTEST_SKIP() << "built without ISOL_COUNT_ALLOCS";
-
     // Two pods of eight mixed read/write tenants under pod-level
     // rbps/wbps: throttled tenants park in, and wake from, the pods'
     // intrusive waiter FIFOs, which must not touch the heap.
@@ -200,9 +191,6 @@ TEST(ZeroAlloc, SteadyStateInteriorIoMaxDoesNotAllocate)
 
 TEST(ZeroAlloc, PreconditionedRandomWritesDoNotAllocate)
 {
-    if (!common::allocCountingEnabled())
-        GTEST_SKIP() << "built without ISOL_COUNT_ALLOCS";
-
     // A small preconditioned drive under sustained 4 KiB random writes:
     // overwrites, host programs, GC moves and erases all update the flat
     // P2L map in place, which must not touch the heap.
@@ -251,9 +239,6 @@ TEST(ZeroAlloc, PreconditionedRandomWritesDoNotAllocate)
 
 TEST(ZeroAlloc, CgroupChurnReleasesGateState)
 {
-    if (!common::allocCountingEnabled())
-        GTEST_SKIP() << "built without ISOL_COUNT_ALLOCS";
-
     // 1000 cgroups created, exercised through all four per-cgroup state
     // holders (io.cost, io.max, io.latency, bfq), then removed — in
     // batches, so the arenas see constant churn. Removal listeners must
@@ -331,9 +316,6 @@ TEST(ZeroAlloc, CgroupChurnReleasesGateState)
 
 TEST(ZeroAlloc, IoMaxChurnUnderSharedLimitClearsWaiterLinks)
 {
-    if (!common::allocCountingEnabled())
-        GTEST_SKIP() << "built without ISOL_COUNT_ALLOCS";
-
     // Batches of leaves under one limited pod park in its waiter FIFO,
     // drain, and are removed; recycled ids must start unlinked, the
     // pod's FIFO and wake must be empty between batches, and the heap

@@ -9,7 +9,6 @@
 #include "common/strings.hh"
 #include "isolbench/scenario.hh"
 #include "isolbench/sweep.hh"
-#include "isolbench/validate.hh"
 #include "sim/invariants.hh"
 #include "workload/adversary.hh"
 #include "workload/app_profiles.hh"
@@ -112,7 +111,6 @@ runOne(uint64_t seed, const FuzzOptions &opts)
         cfg.warmup = cfg.duration / 4;
         cfg.seed = seed;
         cfg.check_invariants = opts.check_invariants;
-        cfg.debug_corrupt_iomax_bucket = opts.mutate_bucket;
 
         Scenario scenario(cfg);
 
@@ -144,6 +142,8 @@ runOne(uint64_t seed, const FuzzOptions &opts)
         }
 
         applyKnobSettings(scenario, groups, cfg.knob, rng);
+        if (opts.mutate_bucket)
+            scenario.device(0).ioMaxGate()->setDebugCorruptBucket(true);
         scenario.run();
 
         // Canonical payload: integer-dominant facts only, so equality is
@@ -163,9 +163,6 @@ runOne(uint64_t seed, const FuzzOptions &opts)
                 : 0);
         out.payload = std::move(payload);
     } catch (const sim::InvariantViolation &e) {
-        out.invariant_trip = true;
-        out.error = e.what();
-    } catch (const isolbench::validate::InvariantViolation &e) {
         out.invariant_trip = true;
         out.error = e.what();
     } catch (const std::exception &e) {

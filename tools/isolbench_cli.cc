@@ -19,8 +19,6 @@
  *                         shorter than --duration)
  *   --precondition        steady-state fill before the run
  *   --seed <n>            RNG seed (default 1)
- *   --jobs <n>            sweep worker threads for parallel runners
- *                         (default: hardware concurrency)
  *   --adversary <queue-flood|gc-storm|square-wave|flush-storm|slow-drain>
  *                         add a misbehaving tenant in cgroup "adv"
  *   --check-invariants    enable the runtime invariant checker
@@ -53,7 +51,6 @@
 #include "common/logging.hh"
 #include "common/strings.hh"
 #include "isolbench/scenario.hh"
-#include "isolbench/sweep.hh"
 #include "stats/table.hh"
 
 using namespace isol;
@@ -102,7 +99,6 @@ printUsage()
         "  --cores N | --devices N | --device flash|optane\n"
         "  --duration MS (at most 3600000, one hour) | --warmup MS\n"
         "  --precondition | --seed N\n"
-        "  --jobs N   (sweep worker threads; default hw concurrency)\n"
         "  --adversary queue-flood|gc-storm|square-wave|flush-storm|\n"
         "              slow-drain    (misbehaving tenant in cgroup 'adv')\n"
         "  --check-invariants        (runtime invariant checker)\n"
@@ -305,11 +301,6 @@ main(int argc, char **argv)
             if (!parsed)
                 usageError("bad --seed");
             cfg.seed = *parsed;
-        } else if (arg == "--jobs") {
-            auto parsed = parseUint(next_value(i, "--jobs"));
-            if (!parsed || *parsed == 0)
-                usageError("bad --jobs");
-            sweep::setDefaultJobs(static_cast<uint32_t>(*parsed));
         } else if (arg == "--adversary") {
             auto parsed =
                 workload::parseAdversary(next_value(i, "--adversary"));

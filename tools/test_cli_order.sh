@@ -13,7 +13,8 @@
 # narrowing would wrap it to a small or zero value). The over-long
 # duration runs under a 1 GiB address-space limit where the binary can
 # start under one, so a run that tries to allocate for it fails fast
-# instead of eating memory.
+# instead of eating memory. --jobs is not an option: the CLI runs one
+# scenario, which no worker pool can split.
 #
 # Usage: tools/test_cli_order.sh path/to/isolbench
 set -eu
@@ -60,6 +61,7 @@ usage "$RUN --app name=a,class=lc,cgroup=a,bs=4294971392"
 usage "$RUN --app $APP,bs=8589934592"
 usage "$RUN --app $APP,qd=4294967297"
 usage "$RUN --app $APP,count=4294967296"
+usage "$RUN --jobs 2 --app $APP"
 HUGE="--knob none --duration 9223372036854 \
 --app name=a,class=lc,start=9223372036853"
 # An ASan build cannot start under the limit (its shadow memory needs
