@@ -79,10 +79,8 @@ IoCostGate::onCgroupRemoved(cgroup::Cgroup &cg)
     }
     if (st->wake_event != sim::kInvalidEventId)
         sim_.cancel(st->wake_event);
-    if (st->active) {
-        --active_count_;
-        shares_dirty_ = true;
-    }
+    if (st->active)
+        setActive(*st, false);
     states_.erase(&cg);
 }
 
@@ -128,74 +126,100 @@ IoCostGate::activate(CgState &st)
     st.last_io = sim_.now();
     if (st.active)
         return;
-    st.active = true;
-    ++active_count_;
     // A group joining after idling must not spend banked history.
     st.vtime = std::max(st.vtime, vnow_ - kCreditCap);
-    shares_dirty_ = true;
+    setActive(st, true);
 }
 
 void
-IoCostGate::ensureShares()
+IoCostGate::setActive(CgState &st, bool active)
 {
-    if (shares_dirty_ || shares_tree_version_ != tree_.version())
-        recomputeShares();
+    st.active = active;
+    if (active)
+        ++active_count_;
+    else
+        --active_count_;
+    ++gen_;
+    // With a rebuild pending, the sums are recounted from the active
+    // bits anyway; walking now would mix old and new weights.
+    if (st.cg != nullptr && sums_tree_version_ == tree_.version())
+        propagateActive(st.cg, active);
 }
 
 void
-IoCostGate::recomputeShares()
+IoCostGate::propagateActive(const cgroup::Cgroup *cg, bool on)
 {
-    shares_dirty_ = false;
-    shares_tree_version_ = tree_.version();
-
-    // Mark every tree node with an active descendant, accumulate each
-    // marked node's weight into its parent's sibling sum, then resolve
-    // each active group's hierarchical share as a product of
-    // weight/sibling-sum up its cached ancestor chain. All flat
-    // dense-id arrays — O(active x depth) with no hashing, which is
-    // what keeps a 1000-tenant activation storm affordable.
-    size_t cap = tree_.idCapacity();
-    marked_scratch_.assign(cap, 0);
-    weight_sum_scratch_.assign(cap, 0);
-    marked_ids_.clear();
-    for (CgState &st : states_) {
-        if (!st.active || st.cg == nullptr)
-            continue;
-        for (cgroup::CgroupId id : st.cg->chain()) {
-            if (marked_scratch_[id] != 0)
-                break; // ancestors above are already marked
-            marked_scratch_[id] = 1;
-            marked_ids_.push_back(id);
-            ++bookkeeping_ops_;
-        }
+    const std::vector<cgroup::CgroupId> &chain = cg->chain();
+    for (size_t i = 0; i < chain.size(); ++i) {
+        CgState &node = *states_.findId(chain[i]);
+        ++bookkeeping_ops_;
+        // Only a subtree turning active (0 -> 1) or idle (1 -> 0)
+        // moves its weight in the parent's sum.
+        uint32_t before = node.active_desc;
+        node.active_desc = on ? before + 1 : before - 1;
+        if (on && before == 0)
+            parentActiveSum(chain, i) += node.cg->ioWeight();
+        else if (!on && before == 1)
+            parentActiveSum(chain, i) -= node.cg->ioWeight();
     }
-    for (cgroup::CgroupId id : marked_ids_) {
-        const cgroup::Cgroup &g = tree_.group(id);
-        weight_sum_scratch_[g.parent()->id()] += g.ioWeight();
+}
+
+void
+IoCostGate::ensureActiveSums()
+{
+    if (sums_tree_version_ == tree_.version())
+        return;
+    sums_tree_version_ = tree_.version();
+    ++gen_;
+    root_active_sum_ = 0;
+    for (CgState &st : states_) {
+        st.active_desc = 0;
+        st.child_active_sum = 0;
         ++bookkeeping_ops_;
     }
     for (CgState &st : states_) {
-        if (st.cg == nullptr) {
-            st.share = 1.0;
-            continue;
-        }
-        if (!st.active)
-            continue;
-        double share = 1.0;
-        for (cgroup::CgroupId id : st.cg->chain()) {
-            const cgroup::Cgroup &g = tree_.group(id);
-            uint64_t sum = weight_sum_scratch_[g.parent()->id()];
-            if (sum == 0)
-                sum = g.ioWeight();
-            share *= static_cast<double>(g.ioWeight()) /
-                     static_cast<double>(sum);
-            ++bookkeeping_ops_;
-        }
-        st.raw_share = std::max(share, 1e-9);
-        // Activation/weight changes grant the full raw share; the next
-        // period's donation pass trims unused budget again.
-        st.share = st.raw_share;
+        if (st.active && st.cg != nullptr)
+            propagateActive(st.cg, true);
     }
+}
+
+uint64_t &
+IoCostGate::parentActiveSum(const std::vector<cgroup::CgroupId> &chain,
+                            size_t i)
+{
+    return i + 1 < chain.size()
+               ? states_.findId(chain[i + 1])->child_active_sum
+               : root_active_sum_;
+}
+
+void
+IoCostGate::refreshShare(CgState &st)
+{
+    if (st.share_gen == gen_)
+        return;
+    st.share_gen = gen_;
+    if (st.cg == nullptr) {
+        st.share = 1.0;
+        return;
+    }
+    if (!st.active)
+        return;
+    // The hierarchical share: a product of weight / active-sibling-sum
+    // up the cached ancestor chain, leaf first.
+    const std::vector<cgroup::CgroupId> &chain = st.cg->chain();
+    double share = 1.0;
+    for (size_t i = 0; i < chain.size(); ++i) {
+        uint64_t weight = states_.findId(chain[i])->cg->ioWeight();
+        uint64_t sum = parentActiveSum(chain, i);
+        if (sum == 0)
+            sum = weight;
+        share *= static_cast<double>(weight) / static_cast<double>(sum);
+        ++bookkeeping_ops_;
+    }
+    st.raw_share = std::max(share, 1e-9);
+    // Activation/weight changes grant the full raw share; the next
+    // period's donation pass trims unused budget again.
+    st.share = st.raw_share;
 }
 
 void
@@ -214,6 +238,7 @@ IoCostGate::donateShares()
         if (!st.active)
             continue;
         ++bookkeeping_ops_;
+        refreshShare(st);
         double usage = st.period_abs / period_cap;
         st.period_abs = 0.0;
         bool constrained = usage >= 0.85 * st.share;
@@ -273,7 +298,8 @@ bool
 IoCostGate::tryCharge(CgState &st, OpType op, bool sequential,
                       uint32_t size)
 {
-    ensureShares();
+    ensureActiveSums();
+    refreshShare(st);
     updateVnow();
     if (st.vtime < vnow_ - kCreditCap)
         st.vtime = vnow_ - kCreditCap;
@@ -403,6 +429,48 @@ IoCostGate::checkHierarchicalCharges()
 }
 
 void
+IoCostGate::checkActiveSums()
+{
+    // Recount from the active bits alone, then require that the
+    // incrementally kept counts and sums match for every node.
+    recount_scratch_.assign(tree_.idCapacity(), ActiveRecount{});
+    for (const CgState &st : states_) {
+        if (!st.active || st.cg == nullptr)
+            continue;
+        for (cgroup::CgroupId id : st.cg->chain())
+            ++recount_scratch_[id].active_desc;
+    }
+    for (const CgState &st : states_) {
+        if (st.cg == nullptr || recount_scratch_[st.cg->id()].active_desc == 0)
+            continue;
+        recount_scratch_[st.cg->parent()->id()].child_active_sum +=
+            st.cg->ioWeight();
+    }
+    for (const CgState &st : states_) {
+        if (st.cg == nullptr)
+            continue;
+        const ActiveRecount &want = recount_scratch_[st.cg->id()];
+        bool ok = st.active_desc == want.active_desc &&
+                  st.child_active_sum == want.child_active_sum;
+        inv_->require(ok, "io.cost active-weight sums",
+                      ok ? std::string()
+                         : strCat("cgroup '", st.cg->name(),
+                                  "': active_desc ", st.active_desc,
+                                  " vs ", want.active_desc,
+                                  ", child_active_sum ",
+                                  st.child_active_sum, " vs ",
+                                  want.child_active_sum));
+    }
+    uint64_t root_sum =
+        recount_scratch_[tree_.root().id()].child_active_sum;
+    bool root_ok = root_active_sum_ == root_sum;
+    inv_->require(root_ok, "io.cost active-weight sums",
+                  root_ok ? std::string()
+                          : strCat("root: child_active_sum ",
+                                   root_active_sum_, " vs ", root_sum));
+}
+
+void
 IoCostGate::periodWork()
 {
     updateVnow();
@@ -411,13 +479,10 @@ IoCostGate::periodWork()
     for (CgState &st : states_) {
         ++bookkeeping_ops_;
         if (st.active && st.queue.empty() &&
-            sim_.now() - st.last_io > 2 * kPeriod) {
-            st.active = false;
-            --active_count_;
-            shares_dirty_ = true;
-        }
+            sim_.now() - st.last_io > 2 * kPeriod)
+            setActive(st, false);
     }
-    ensureShares();
+    ensureActiveSums();
     donateShares();
 
     // QoS: compare windowed device latencies against the targets and
@@ -444,8 +509,10 @@ IoCostGate::periodWork()
     window_read_lat_.clear();
     window_write_lat_.clear();
 
-    if (inv_ != nullptr)
+    if (inv_ != nullptr) {
         checkHierarchicalCharges();
+        checkActiveSums();
+    }
 
     // Wakeup estimates are stale after a vrate change: re-drain.
     for (CgState &st : states_) {
@@ -457,8 +524,12 @@ IoCostGate::periodWork()
 double
 IoCostGate::shareOf(const cgroup::Cgroup *cg)
 {
-    ensureShares();
-    return stateFor(cg).share;
+    CgState *st = states_.find(cg);
+    if (st == nullptr)
+        return 0.0;
+    ensureActiveSums();
+    refreshShare(*st);
+    return st->share;
 }
 
 double

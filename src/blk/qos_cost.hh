@@ -11,7 +11,12 @@
  *    read/write fairness (O5);
  *  - io.weight: absolute weights 1-10000, resolved hierarchically among
  *    *active* groups into an hweight share. Idle groups donate their
- *    share (work conservation, Fig. 2g/h);
+ *    share (work conservation, Fig. 2g/h). As in the kernel
+ *    (propagate_weights / current_hweight), every node keeps the weight
+ *    sum of its active children, updated along one ancestor chain per
+ *    activation or deactivation, and each group's share is recomputed
+ *    lazily when its generation stamp is stale — an active-set flip
+ *    costs O(depth), not O(groups);
  *  - hweight donation (kernel `hweight_inuse`): an active group that
  *    does not consume its share (e.g. a QD1 LC-app holding weight
  *    10000) keeps only its usage plus headroom; the surplus is
@@ -90,7 +95,8 @@ class IoCostGate : public RqQos
      */
     SimTime absCost(OpType op, bool sequential, uint32_t size) const;
 
-    /** Hierarchical weight share of `cg` among active groups (testing). */
+    /** Hierarchical weight share of `cg` among active groups (testing);
+     *  0 for a group the gate holds no state for (never creates one). */
     double shareOf(const cgroup::Cgroup *cg);
 
     /** Groups with live gate state (shrinks on cgroup removal). */
@@ -130,6 +136,9 @@ class IoCostGate : public RqQos
         double period_abs = 0.0; //!< abs cost charged this period
         double subtree_abs = 0.0; //!< abs cost charged to the subtree
         double inv_vtime_last = 0.0; //!< monotone-series slot (checker)
+        uint64_t share_gen = 0; //!< gen_ at the last refreshShare()
+        uint64_t child_active_sum = 0; //!< io.weight of active children
+        uint32_t active_desc = 0; //!< active groups in subtree, self too
         bool active = false;
         SimTime last_io = 0;
         common::RingDeque<QEnt> queue;
@@ -147,14 +156,31 @@ class IoCostGate : public RqQos
     /** Advance the device virtual clock to the present. */
     void updateVnow();
 
-    /** Mark a group active and recompute shares if needed. */
+    /** Mark a group active (stamps last_io; flips it if idle). */
     void activate(CgState &st);
 
-    /** Recompute shares iff the active set or the tree changed. */
-    void ensureShares();
+    /** Flip a group's active bit: update the sums along its chain and
+     *  bump gen_, so every cached share goes stale. */
+    void setActive(CgState &st, bool active);
 
-    /** Recompute hweight shares over the active set. */
-    void recomputeShares();
+    /** Count one more (`on`) or one fewer active group at `cg`: walk
+     *  its chain, moving a node's weight into or out of its parent's
+     *  sum when the node's subtree turns active or idle. O(depth). */
+    void propagateActive(const cgroup::Cgroup *cg, bool on);
+
+    /** Rebuild the active sums iff the tree version changed (a weight
+     *  write, create/remove or attach): the only O(groups) pass. */
+    void ensureActiveSums();
+
+    /** Recompute `st`'s share iff its generation stamp is stale. */
+    void refreshShare(CgState &st);
+
+    /** Weight sum of the active children of `chain[i]`'s parent. */
+    uint64_t &parentActiveSum(const std::vector<cgroup::CgroupId> &chain,
+                              size_t i);
+
+    /** Invariant: recount every active count and sum from scratch. */
+    void checkActiveSums();
 
     /** Charge `abs` to every node on `cg`'s ancestor chain. */
     void chargeSubtree(const cgroup::Cgroup *cg, double abs);
@@ -190,20 +216,28 @@ class IoCostGate : public RqQos
     size_t active_count_ = 0;
     uint64_t idle_wakes_ = 0;
 
-    /** Share cache validity: recompute lazily when the active set flips
-     *  (dirty flag) or any cgroup knob/topology changed (tree version),
-     *  so an activation storm at 1000 tenants coalesces into one
-     *  recompute instead of one per submit. */
-    bool shares_dirty_ = true;
-    uint64_t shares_tree_version_ = 0;
+    /** Share cache validity. Each state's active_desc and
+     *  child_active_sum (plus root_active_sum_ for the root's children)
+     *  follow every flip incrementally; gen_ counts flips and rebuilds,
+     *  and a share is valid while its share_gen equals gen_. The sums
+     *  are rebuilt from scratch only when the tree version moves, so a
+     *  weight write applies at the next share read, and an activation
+     *  storm at 1000 tenants costs one chain walk per flip plus one
+     *  chain walk per group that reads its share. */
+    uint64_t root_active_sum_ = 0;
+    uint64_t gen_ = 1;
+    uint64_t sums_tree_version_ = 0;
 
-    /** Scratch for recomputeShares(), indexed by dense CgroupId; kept
-     *  as members so steady-state recomputes do not allocate. */
-    std::vector<uint8_t> marked_scratch_;
-    std::vector<uint64_t> weight_sum_scratch_;
-    std::vector<cgroup::CgroupId> marked_ids_;
     std::vector<CgState *> donate_receivers_;
     std::vector<double> child_abs_scratch_;
+
+    /** checkActiveSums() recount, indexed by dense CgroupId. */
+    struct ActiveRecount
+    {
+        uint32_t active_desc = 0;
+        uint64_t child_active_sum = 0;
+    };
+    std::vector<ActiveRecount> recount_scratch_;
 
     stats::Histogram window_read_lat_;
     stats::Histogram window_write_lat_;

@@ -412,14 +412,29 @@ TEST_F(QosFixture, IoCostWeightRewriteAppliesAtNextAdmission)
     ASSERT_NEAR(gate.shareOf(cg_a), 0.5, 1e-9);
 
     // Mid-period (the first tick is at 5 ms): the rewrite bumps the
-    // tree version, and the next admission recomputes the shares.
+    // tree version, and the next admission rebuilds the active sums.
     sim.runUntil(msToNs(1));
     tree.writeFile(*cg_a, "io.weight", "300");
     gate.submit(makeReq(cg_a));
     uint64_t ops = gate.bookkeepingOps();
     EXPECT_NEAR(gate.shareOf(cg_a), 0.75, 1e-9);
     EXPECT_NEAR(gate.shareOf(cg_b), 0.25, 1e-9);
-    EXPECT_EQ(gate.bookkeepingOps(), ops); // shareOf() recomputed nothing
+    // The admission refreshed cg_a; reading cg_b's stale share costs
+    // one chain step (depth 1), and nothing walks the other groups.
+    EXPECT_EQ(gate.bookkeepingOps(), ops + 1);
+}
+
+TEST_F(QosFixture, IoCostReadsDoNotCreateState)
+{
+    // A test read of a group the gate never saw must not materialise
+    // state that the period timer would then walk.
+    IoCostGate gate(sim, 0, tree, [](Request *) {});
+    gate.submit(makeReq(cg_a));
+    ASSERT_EQ(gate.trackedGroups(), 1u);
+    EXPECT_EQ(gate.shareOf(cg_b), 0.0);
+    EXPECT_EQ(gate.subtreeAbsOf(cg_b), 0.0);
+    EXPECT_EQ(gate.trackedGroups(), 1u);
+    EXPECT_NEAR(gate.shareOf(cg_a), 1.0, 1e-9);
 }
 
 TEST_F(QosFixture, IoCostWeightDonationOnIdle)

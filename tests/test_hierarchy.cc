@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -213,6 +214,221 @@ TEST_F(HierarchyFixture, WeightSplitProportionalOnRandomizedTrees)
         }
         EXPECT_NEAR(total, 1.0, 1e-9) << "round " << round;
     }
+}
+
+/** A cost model so cheap that every I/O costs 0 device-ns: nothing
+ *  throttles, so a group is active exactly while it keeps submitting. */
+void
+setFreeCostModel(cgroup::CgroupTree &tree)
+{
+    cgroup::IoCostModel model;
+    model.user = true;
+    model.rbps = model.wbps = 1ull << 60;
+    model.rseqiops = model.rrandiops = 1ull << 60;
+    model.wseqiops = model.wrandiops = 1ull << 60;
+    tree.setCostModel(0, model);
+}
+
+TEST_F(HierarchyFixture, SharesMatchOracleThroughFlipsAndRewrites)
+{
+    // The gate keeps its active-weight sums incrementally and refreshes
+    // shares lazily; the oracle recomputes from scratch. Drive random
+    // activations, idle deactivations, weight rewrites and idle-leaf
+    // churn, and require bit-identical shares whenever every cached
+    // share must have been invalidated.
+    Rng rng(0xF11B5EEDull);
+    for (int round = 0; round < 8; ++round) {
+        sim::Simulator local_sim;
+        cgroup::CgroupTree local_tree;
+        local_tree.writeFile(local_tree.root(),
+                             "cgroup.subtree_control", "+io");
+        setFreeCostModel(local_tree);
+
+        std::vector<cgroup::Cgroup *> interiors;
+        std::vector<cgroup::Cgroup *> racks;
+        std::vector<cgroup::Cgroup *> leaves;
+        uint32_t next_leaf = 0;
+        auto add_leaf = [&](cgroup::Cgroup &rack) {
+            cgroup::Cgroup &lf =
+                local_tree.createChild(rack, strCat("l", next_leaf++));
+            local_tree.attachProcess(lf);
+            local_tree.writeFile(lf, "io.weight",
+                                 strCat(rng.between(1, 1000)));
+            leaves.push_back(&lf);
+        };
+        uint32_t pods = static_cast<uint32_t>(rng.between(2, 4));
+        for (uint32_t p = 0; p < pods; ++p) {
+            cgroup::Cgroup &pod =
+                local_tree.createChild(local_tree.root(), strCat("p", p));
+            local_tree.enableIoController(pod);
+            local_tree.writeFile(pod, "io.weight",
+                                 strCat(rng.between(1, 1000)));
+            interiors.push_back(&pod);
+            uint32_t n_racks = static_cast<uint32_t>(rng.between(1, 3));
+            for (uint32_t r = 0; r < n_racks; ++r) {
+                cgroup::Cgroup &rack =
+                    local_tree.createChild(pod, strCat("r", r));
+                local_tree.enableIoController(rack);
+                local_tree.writeFile(rack, "io.weight",
+                                     strCat(rng.between(1, 1000)));
+                interiors.push_back(&rack);
+                racks.push_back(&rack);
+                uint32_t n = static_cast<uint32_t>(rng.between(1, 3));
+                for (uint32_t l = 0; l < n; ++l)
+                    add_leaf(rack);
+            }
+        }
+
+        IoCostGate gate(local_sim, 0, local_tree, [](Request *) {});
+        sim::InvariantChecker inv("iocost-oracle");
+        gate.setInvariants(&inv);
+        gate.start();
+        std::vector<std::unique_ptr<Request>> local_reqs;
+        auto submit = [&](cgroup::Cgroup *lf) {
+            auto req = std::make_unique<Request>();
+            req->op = OpType::kRead;
+            req->size = 4096;
+            req->cg = lf;
+            gate.submit(req.get());
+            local_reqs.push_back(std::move(req));
+        };
+        std::vector<cgroup::Cgroup *> active;
+        auto is_active = [&](const cgroup::Cgroup *lf) {
+            return std::find(active.begin(), active.end(), lf) !=
+                   active.end();
+        };
+        // Every active share is fresh from the current sums: donation's
+        // trims are discarded at the first read after a flip or rewrite.
+        auto check_shares = [&](const char *step, int i) {
+            for (cgroup::Cgroup *lf : active) {
+                double expect =
+                    std::max(expectedShare(*lf, active), 1e-9);
+                EXPECT_EQ(gate.shareOf(lf), expect)
+                    << "round " << round << " step " << i << " (" << step
+                    << ") leaf " << lf->path();
+            }
+        };
+
+        for (int i = 0; i < 60; ++i) {
+            switch (rng.below(5)) {
+            case 0:
+            case 1: {
+                // Activate an idle leaf (a flip).
+                std::vector<cgroup::Cgroup *> idle;
+                for (cgroup::Cgroup *lf : leaves) {
+                    if (!is_active(lf))
+                        idle.push_back(lf);
+                }
+                if (idle.empty())
+                    break;
+                cgroup::Cgroup *lf = idle[rng.below(idle.size())];
+                submit(lf);
+                active.push_back(lf);
+                check_shares("activate", i);
+                break;
+            }
+            case 2: {
+                // Keep a random half busy for 3+ periods; the rest go
+                // idle and the period timer deactivates them.
+                std::vector<cgroup::Cgroup *> kept;
+                for (cgroup::Cgroup *lf : active) {
+                    if (rng.below(2) == 0)
+                        kept.push_back(lf);
+                }
+                for (int ms = 1; ms <= 16; ++ms) {
+                    local_sim.runUntil(local_sim.now() + msToNs(1));
+                    for (cgroup::Cgroup *lf : kept)
+                        submit(lf);
+                }
+                active = kept;
+                break;
+            }
+            case 3: {
+                // Rewrite an interior or a leaf weight.
+                bool leaf_write = rng.below(2) == 0;
+                cgroup::Cgroup *cg =
+                    leaf_write ? leaves[rng.below(leaves.size())]
+                               : interiors[rng.below(interiors.size())];
+                local_tree.writeFile(*cg, "io.weight",
+                                     strCat(rng.between(1, 1000)));
+                check_shares("rewrite", i);
+                break;
+            }
+            default: {
+                // Create a leaf, or remove an idle one.
+                if (rng.below(2) == 0) {
+                    add_leaf(*racks[rng.below(racks.size())]);
+                    break;
+                }
+                std::vector<size_t> idle;
+                for (size_t k = 0; k < leaves.size(); ++k) {
+                    if (!is_active(leaves[k]))
+                        idle.push_back(k);
+                }
+                if (idle.empty())
+                    break;
+                size_t k = idle[rng.below(idle.size())];
+                local_tree.detachProcess(*leaves[k]);
+                local_tree.removeGroup(*leaves[k]);
+                leaves.erase(leaves.begin() +
+                             static_cast<std::ptrdiff_t>(k));
+                break;
+            }
+            }
+        }
+        EXPECT_GT(inv.checksPerformed(), 0u) << "round " << round;
+    }
+}
+
+TEST_F(HierarchyFixture, IoCostFlipCostsOneChainWalk)
+{
+    // 512 QD1 leaves in 4 pods x 4 racks. The even leaves submit every
+    // 1 ms throughout; the odd ones burst for 30 ms, go idle for 17 ms
+    // (past the two idle periods, so the timer deactivates them) and
+    // return together: 256 activation flips per 47 ms cycle. A flip
+    // must cost O(depth) bookkeeping, not a pass over all ~530 groups.
+    setFreeCostModel(tree);
+    constexpr SimTime kThink = msToNs(1);
+    constexpr SimTime kCycle = msToNs(47);
+    constexpr SimTime kBurst = msToNs(30);
+    const SimTime stop = secToNs(int64_t{1});
+    std::vector<Request> reqs(512);
+    uint64_t passed = 0;
+    IoCostGate gate(sim, 0, tree, [&](Request *req) {
+        ++passed;
+        SimTime next = sim.now() + kThink;
+        bool bursty = (req - reqs.data()) % 2 == 1;
+        if (bursty && next % kCycle >= kBurst)
+            next = (next / kCycle + 1) * kCycle;
+        if (next < stop)
+            sim.at(next, [&gate, req] { gate.submit(req); });
+    });
+    size_t t = 0;
+    for (int p = 0; p < 4; ++p) {
+        cgroup::Cgroup &pod = interior(tree.root(), strCat("p", p));
+        for (int r = 0; r < 4; ++r) {
+            cgroup::Cgroup &rack = interior(pod, strCat("r", r));
+            for (int l = 0; l < 32; ++l, ++t) {
+                reqs[t].size = 4096;
+                reqs[t].cg = &leaf(rack, strCat("l", l));
+            }
+        }
+    }
+    gate.start();
+    for (size_t i = 0; i < reqs.size(); ++i) {
+        Request *req = &reqs[i];
+        sim.at(usToNs(static_cast<int64_t>(i)),
+               [&gate, req] { gate.submit(req); });
+    }
+    sim.runUntil(stop);
+
+    ASSERT_GT(passed, 300000u);
+    double bookkeeping = static_cast<double>(gate.bookkeepingOps()) /
+                         static_cast<double>(passed);
+    // One 3-level charge walk per I/O, a refresh after each flip and
+    // the period scans come to about 4; a pass over every group per
+    // flip comes to tens.
+    EXPECT_LT(bookkeeping, 8.0) << "bookkeeping ops per I/O";
 }
 
 // --- Interior io.max: shared subtree caps ------------------------------

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "blk/bfq.hh"
@@ -181,6 +182,49 @@ TEST(ZeroAlloc, SteadyStateInteriorIoMaxDoesNotAllocate)
     ASSERT_GT(ios, 10000u) << "scenario too small to be meaningful";
     ASSERT_GT(scenario.device(0).ioMaxGate()->throttled(), 0u)
         << "the pod limits must throttle";
+
+    double per_io = static_cast<double>(counters.allocs) /
+                    static_cast<double>(ios);
+    EXPECT_LT(per_io, 0.01)
+        << counters.allocs << " allocations over " << ios
+        << " steady-state I/Os (" << counters.bytes << " bytes)";
+}
+
+TEST(ZeroAlloc, IoCostActiveSetFlipsDoNotAllocate)
+{
+    // Eight duty-cycled tenants in two pods: each bursts for 8-15 ms
+    // and pauses for 16 ms, past io.cost's two idle periods, so groups
+    // deactivate and reactivate every few periods. The flips update
+    // the active-weight sums along the chain and stale the cached
+    // shares, which must not touch the heap.
+    ScenarioConfig cfg;
+    cfg.knob = Knob::kIoCost;
+    cfg.duration = msToNs(600);
+    cfg.warmup = msToNs(100);
+    cfg.check_invariants = false;
+    Scenario scenario(cfg);
+    for (int i = 0; i < 8; ++i) {
+        workload::JobSpec spec =
+            workload::batchApp(strCat("t", i), msToNs(600));
+        spec.iodepth = 16;
+        spec.burst_on = msToNs(8 + i);
+        spec.burst_off = msToNs(16);
+        std::string path = strCat("pod", i % 2, "/t", i);
+        scenario.addApp(std::move(spec), path);
+        scenario.tree().writeFile(scenario.group(path), "io.weight",
+                                  strCat(100 * (i + 1)));
+    }
+
+    uint64_t ios_at_mark = 0;
+    scenario.sim().at(msToNs(300), [&] {
+        ios_at_mark = totalIos(scenario);
+        common::resetAllocCounters();
+    });
+    scenario.run();
+
+    common::AllocCounters counters = common::allocCounters();
+    uint64_t ios = totalIos(scenario) - ios_at_mark;
+    ASSERT_GT(ios, 10000u) << "scenario too small to be meaningful";
 
     double per_io = static_cast<double>(counters.allocs) /
                     static_cast<double>(ios);
