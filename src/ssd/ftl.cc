@@ -9,8 +9,10 @@ namespace isol::ssd
 
 namespace
 {
-// Victim slots between a mapping-entry prefetch and its GC move.
+// Moved pages between a mapping-entry prefetch and its rewrite.
 constexpr uint32_t kMovePrefetch = 16;
+// Victims one instant-GC burst ranks per scan of a die's blocks.
+constexpr uint32_t kRankedVictims = 32;
 // Random-overwrite lpns drawn ahead of their write; a power of two. Each
 // draw's mapping entry is prefetched at once, its old P2L slot half-way.
 constexpr uint64_t kDrawAhead = 16;
@@ -37,7 +39,7 @@ Ftl::Ftl(const SsdConfig &cfg)
 
     if (blocks_per_die_ < kGcReservedBlocks + 4)
         fatal("Ftl: too few blocks per die; raise capacity or OP");
-    if (blocks_per_die_ > 4096 || pages_per_block_ > 4096)
+    if (blocks_per_die_ > 4096 || pages_per_block_ > kMaxPagesPerBlock)
         fatal("Ftl: geometry exceeds 32-bit mapping entry limits");
     if (num_lpns_ > kUnmapped)
         fatal("Ftl: logical pages exceed the 32-bit reverse map");
@@ -128,21 +130,41 @@ Ftl::invalidate(uint64_t lpn)
     mapping_[lpn] = kUnmappedEntry;
 }
 
-PhysLoc
-Ftl::allocSlot(uint32_t die, bool gc)
+void
+Ftl::allocateMaps()
 {
-    Die &d = dies_[die];
-    uint32_t &wp = gc ? d.gc_wp : d.host_wp;
+    mapping_.assign(num_lpns_, kUnmappedEntry);
+    p2l_.assign(size_t{num_dies_} * blocks_per_die_ * pages_per_block_,
+                kUnmapped);
+}
+
+inline uint32_t
+Ftl::openWritePoint(Die &d, uint32_t &wp, size_t reserve)
+{
     if (wp == kNoBlock || d.blocks[wp].used >= pages_per_block_) {
-        size_t reserve = gc ? 0 : kGcReservedBlocks;
         if (d.free_blocks.size() <= reserve)
-            return PhysLoc{die, kNoBlock, 0};
+            return kNoBlock;
         wp = d.free_blocks.back();
         d.free_blocks.pop_back();
     }
-    Block &blk = d.blocks[wp];
+    return wp;
+}
+
+inline PhysLoc
+Ftl::installHostPage(uint32_t lpn, uint32_t die)
+{
+    Die &d = dies_[die];
+    uint32_t block = openWritePoint(d, d.host_wp, kGcReservedBlocks);
+    if (block == kNoBlock)
+        panic("Ftl: host write to a die stalled on the GC reserve");
+    Block &blk = d.blocks[block];
     uint32_t page = blk.used++;
-    return PhysLoc{die, wp, page};
+    ++blk.valid;
+    slots(die, block)[page] = lpn;
+    mapping_[lpn] = pack(die, block, page);
+    written_[chunkWord(lpn)] |= chunkMask(lpn);
+    ++host_pages_written_;
+    return PhysLoc{die, block, page};
 }
 
 PhysLoc
@@ -150,23 +172,12 @@ Ftl::commitHostWrite(uint64_t lpn, uint32_t die)
 {
     if (lpn >= num_lpns_)
         lpn %= num_lpns_;
-    if (mapping_.empty()) {
-        // First host write: allocate the maps now, so a drive that is
-        // only ever read never pays for them.
-        mapping_.assign(num_lpns_, kUnmappedEntry);
-        p2l_.assign(size_t{num_dies_} * blocks_per_die_ * pages_per_block_,
-                    kUnmapped);
-    }
+    // First host write: allocate the maps now, so a drive that is only
+    // ever read never pays for them.
+    if (mapping_.empty())
+        allocateMaps();
     invalidate(lpn);
-    PhysLoc loc = allocSlot(die, /*gc=*/false);
-    if (loc.block == kNoBlock)
-        panic("Ftl::commitHostWrite: caller ignored hostWriteStalled()");
-    slots(die, loc.block)[loc.page] = static_cast<uint32_t>(lpn);
-    ++dies_[die].blocks[loc.block].valid;
-    mapping_[lpn] = pack(die, loc.block, loc.page);
-    written_[chunkWord(lpn)] |= chunkMask(lpn);
-    ++host_pages_written_;
-    return loc;
+    return installHostPage(static_cast<uint32_t>(lpn), die);
 }
 
 uint32_t
@@ -202,27 +213,40 @@ Ftl::freeFraction(uint32_t die) const
 }
 
 uint32_t
-Ftl::selectVictim(uint32_t die) const
+Ftl::rankVictims(uint32_t die, uint32_t *out, uint32_t k) const
 {
     const Die &d = dies_[die];
-    uint32_t best = kNoBlock;
-    uint32_t best_valid = UINT32_MAX;
+    // Insertion-rank (valid, block) keys in `out`, so ties go to the
+    // lowest block index; the 12-bit block field is unpacked at the end.
+    // Only keys below `limit` can enter: a fully valid block cannot be
+    // reclaimed at a profit (GC waits for host overwrites instead), and
+    // once `out` is full a key must beat its last entry.
+    uint32_t limit = pages_per_block_ << 12;
+    uint32_t n = 0;
     for (uint32_t b = 0; b < blocks_per_die_; ++b) {
-        if (b == d.host_wp || b == d.gc_wp)
-            continue;
         const Block &blk = d.blocks[b];
-        if (blk.used < pages_per_block_)
-            continue; // not fully written (free or active)
-        if (blk.valid < best_valid) {
-            best_valid = blk.valid;
-            best = b;
-        }
+        const uint32_t key = (uint32_t{blk.valid} << 12) | b;
+        // Blocks not fully written are free or active.
+        if (blk.used < pages_per_block_ || key >= limit || b == d.host_wp ||
+            b == d.gc_wp)
+            continue;
+        uint32_t i = n < k ? n++ : n - 1;
+        for (; i > 0 && out[i - 1] > key; --i)
+            out[i] = out[i - 1];
+        out[i] = key;
+        if (n == k)
+            limit = out[k - 1];
     }
-    // A fully-valid victim cannot be reclaimed at a profit; wait for
-    // host overwrites to invalidate pages instead of burning die time.
-    if (best != kNoBlock && best_valid >= pages_per_block_)
-        return kNoBlock;
-    return best;
+    for (uint32_t i = 0; i < n; ++i)
+        out[i] &= 0xFFF;
+    return n;
+}
+
+uint32_t
+Ftl::selectVictim(uint32_t die) const
+{
+    uint32_t best;
+    return rankVictims(die, &best, 1) == 1 ? best : kNoBlock;
 }
 
 bool
@@ -253,31 +277,58 @@ Ftl::gcCommitMove(uint32_t die, uint32_t pages)
     // move was in flight on the die, the copy is moot (the die time was
     // still spent — as on real hardware).
     const uint32_t todo = std::min<uint32_t>(pages, victim.valid);
+
+    // Pass 1: compact the next `todo` live lpns into `run`, clearing
+    // their slots. Every slot is stored; only a live one is kept.
+    const uint32_t ppb = pages_per_block_; // not reloaded past the stores
+    uint32_t *map = mapping_.data();
+    uint32_t run[kMaxPagesPerBlock];
     uint32_t moved = 0;
-    uint32_t p = d.victim_scan;
-    for (; moved < todo && p < pages_per_block_; ++p) {
-        // The mapping entry each move rewrites is a cache miss; fetch the
-        // one kMovePrefetch slots ahead so back-to-back moves overlap.
-        if (p + kMovePrefetch < pages_per_block_) {
-            uint32_t ahead = src[p + kMovePrefetch];
-            if (ahead != kUnmapped)
-                __builtin_prefetch(&mapping_[ahead], 1);
-        }
+    const uint32_t start = d.victim_scan;
+    uint32_t p = start;
+    for (; moved < todo && p < ppb; ++p) {
         uint32_t lpn = src[p];
-        if (lpn == kUnmapped)
-            continue;
-        PhysLoc loc = allocSlot(die, /*gc=*/true);
-        if (loc.block == kNoBlock)
-            panic("Ftl::gcCommitMove: GC reserve exhausted");
+        run[moved] = lpn;
+        moved += lpn != kUnmapped;
         src[p] = kUnmapped;
-        slots(die, loc.block)[loc.page] = lpn;
-        ++d.blocks[loc.block].valid;
-        mapping_[lpn] = pack(die, loc.block, loc.page);
-        ++moved;
     }
     victim.valid -= moved;
     gc_pages_moved_ += moved;
     d.victim_scan = p;
+
+    // Pass 2: write the run to the GC write point, one piece per block
+    // it fills. Each rewrite of `mapping_` is a cache miss; fetch the
+    // entry kMovePrefetch pages ahead so consecutive moves overlap.
+    for (uint32_t i = 0; i < moved;) {
+        uint32_t block = openWritePoint(d, d.gc_wp, 0);
+        if (block == kNoBlock)
+            panic("Ftl::gcCommitMove: GC reserve exhausted");
+        Block &dst = d.blocks[block];
+        const uint32_t first = dst.used;
+        const uint32_t n = std::min(moved - i, ppb - first);
+        dst.used += n;
+        dst.valid += n;
+        uint32_t *dst_slots = slots(die, block) + first;
+        const uint32_t entry = pack(die, block, first);
+        for (uint32_t j = 0; j < n; ++j) {
+            if (i + j + kMovePrefetch < moved)
+                __builtin_prefetch(&map[run[i + j + kMovePrefetch]], 1);
+            dst_slots[j] = run[i + j];
+            map[run[i + j]] = entry + j;
+        }
+        i += n;
+    }
+
+    // Later calls move the victim's remaining pages, a few per call (the
+    // timed GC moves one): fetch the entries of the slots this call's
+    // cursor advance brought within kMovePrefetch slots.
+    if (victim.valid > 0) {
+        const uint32_t end = std::min(p + kMovePrefetch, ppb);
+        for (uint32_t q = start + kMovePrefetch; q < end; ++q) {
+            if (src[q] != kUnmapped)
+                __builtin_prefetch(&map[src[q]], 1);
+        }
+    }
 }
 
 bool
@@ -308,39 +359,53 @@ Ftl::gcCommitErase(uint32_t die)
     ++blocks_erased_;
 }
 
-void
-Ftl::instantWrite(uint64_t lpn)
+inline void
+Ftl::instantWrite(uint32_t lpn)
 {
-    if (lpn >= num_lpns_)
-        lpn %= num_lpns_;
     uint32_t die = takeHostWriteDie();
-    if (hostWriteStalled(die)) {
-        // Invalidate first so GC sees the dead page; otherwise
-        // commitHostWrite() invalidates it.
-        invalidate(lpn);
+    // Invalidate before any instant GC, so GC sees the dead page.
+    invalidate(lpn);
+    if (hostWriteStalled(die))
         instantGc(die);
-    }
-    commitHostWrite(lpn, die);
+    installHostPage(lpn, die);
 }
 
 void
 Ftl::instantGc(uint32_t die)
 {
-    // Reclaim until the background-GC start level is restored, breaking
-    // out when a victim cycle makes no net progress (fully-valid victim).
-    while (dies_[die].free_blocks.size() < gc_start_free_) {
-        if (!gcHasMove(die)) {
-            if (victimReadyForErase(die)) {
-                gcCommitErase(die);
-                continue;
+    // Reclaim until the background-GC start level is restored. A victim
+    // always holds a dead page (fully valid blocks never qualify), so
+    // every cycle frees net space; stop when none qualifies.
+    //
+    // One scan ranks the burst's victims in selectVictim() order. Only
+    // GC runs until the burst ends, so the ranked blocks' valid counts
+    // hold still and the ranking stays exact, except that a GC write
+    // point that fills up becomes a candidate: when it qualifies, rank
+    // again. A fully used ranking was cut at kRankedVictims; rank again
+    // when it runs out, too.
+    Die &d = dies_[die];
+    uint32_t ranked[kRankedVictims];
+    uint32_t n = 0;
+    uint32_t next = 0;
+    bool stale = true;
+    while (d.free_blocks.size() < gc_start_free_) {
+        if (d.victim == kNoBlock) {
+            if (stale || (next == n && n == kRankedVictims)) {
+                n = rankVictims(die, ranked, kRankedVictims);
+                next = 0;
+                stale = false;
             }
-            break; // nothing reclaimable
+            if (next == n)
+                break; // nothing reclaimable
+            d.victim = ranked[next++];
+            d.victim_scan = 0;
         }
-        const Block &victim = dies_[die].blocks[dies_[die].victim];
-        if (victim.valid >= pages_per_block_)
-            break; // zero net gain: moving costs what erasing frees
-        gcCommitMove(die, victim.valid);
+        const uint32_t gc_wp = d.gc_wp;
+        gcCommitMove(die, d.blocks[d.victim].valid);
         gcCommitErase(die);
+        if (d.gc_wp != gc_wp && gc_wp != kNoBlock &&
+            d.blocks[gc_wp].valid < pages_per_block_)
+            stale = true;
     }
 }
 
@@ -442,8 +507,10 @@ Ftl::preconditionSequentialFill(double fill_fraction)
     fill_fraction = std::clamp(fill_fraction, 0.0, 1.0);
     uint64_t pages = static_cast<uint64_t>(
         fill_fraction * static_cast<double>(num_lpns_));
+    if (pages > 0 && mapping_.empty())
+        allocateMaps();
     for (uint64_t lpn = 0; lpn < pages; ++lpn)
-        instantWrite(lpn);
+        instantWrite(static_cast<uint32_t>(lpn));
     filled_lpns_ = std::max(filled_lpns_, pages);
 }
 

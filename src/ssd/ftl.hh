@@ -101,10 +101,11 @@ class Ftl
     void noteOverwrite(uint64_t lpn);
 
     /**
-     * Commit one host page write of `lpn` to `die`: allocates a slot on
-     * the die's host write point, invalidates any previous mapping and
-     * installs the new one. Caller must ensure !hostWriteStalled(die).
-     * Returns the new location.
+     * Commit one host page write of `lpn` to `die`: invalidates any
+     * previous mapping, then installs the page on the die's host write
+     * point through installHostPage(), the body instant preconditioning
+     * shares. Caller must ensure !hostWriteStalled(die). Returns the new
+     * location.
      */
     PhysLoc commitHostWrite(uint64_t lpn, uint32_t die);
 
@@ -124,7 +125,12 @@ class Ftl
     /**
      * Bookkeep up to `pages` GC valid-page moves on `die` (mapping
      * updated), in the victim's slot order. Moves fewer when the victim
-     * has fewer valid pages left.
+     * has fewer valid pages left. Two passes: the first compacts the
+     * live lpns from the scan cursor into a stack run (one slot per
+     * page, branch-free), the second writes the run to the GC write
+     * point in whole-block pieces, prefetching the mapping entries it
+     * rewrites kMovePrefetch ahead along the run. The timed GC moves one
+     * page per call, instant GC a whole victim per call.
      */
     void gcCommitMove(uint32_t die, uint32_t pages = 1);
 
@@ -205,6 +211,9 @@ class Ftl
   private:
     /** Lpns per written-chunk summary bit. */
     static constexpr uint64_t kChunkLpns = 64;
+    /** Pages per block a mapping entry's 12-bit page field addresses;
+     *  also the size of gcCommitMove()'s stack run. */
+    static constexpr uint32_t kMaxPagesPerBlock = 4096;
     static constexpr uint32_t kNoBlock = UINT32_MAX;
     static constexpr uint32_t kUnmapped = UINT32_MAX; //!< dead P2L slot
 
@@ -265,21 +274,46 @@ class Ftl
     /** Invalidate the mapping entry of `lpn` if present. */
     void invalidate(uint64_t lpn);
 
-    /**
-     * Allocate a page slot on a write point. `gc` selects the GC write
-     * point (which may dip into the reserved blocks). Returns kNoBlock
-     * block when no space is available.
-     */
-    PhysLoc allocSlot(uint32_t die, bool gc);
+    /** Allocate the forward and reverse maps (first host write). */
+    void allocateMaps();
 
-    /** Pick the fullest-dead candidate victim on `die` (greedy). */
+    /**
+     * Write point `wp` of `d` with room for a page: the current block,
+     * or a fresh one from the free list when it is full. `reserve` free
+     * blocks are kept back (the host write point leaves the GC reserve
+     * alone). Returns kNoBlock when no block can be taken.
+     */
+    uint32_t openWritePoint(Die &d, uint32_t &wp, size_t reserve);
+
+    /**
+     * Install host page `lpn` (already < num_lpns_ and invalidated, maps
+     * allocated) on `die`'s host write point: slot, P2L entry, valid
+     * count, mapping entry and summary bit. The one host-page install,
+     * shared by commitHostWrite() and instantWrite().
+     */
+    PhysLoc installHostPage(uint32_t lpn, uint32_t die);
+
+    /**
+     * Rank up to `k` GC victim candidates on `die` into `out`, best
+     * first: fewest valid pages, then lowest block index. Only fully
+     * written blocks that hold a dead page and are not a write point
+     * qualify. Returns how many were ranked.
+     */
+    uint32_t rankVictims(uint32_t die, uint32_t *out, uint32_t k) const;
+
+    /** Pick the fullest-dead candidate victim on `die` (greedy): the
+     *  first of rankVictims(), or kNoBlock. */
     uint32_t selectVictim(uint32_t die) const;
 
     /** Run GC to completion (bookkeeping only) until above fg threshold. */
     void instantGc(uint32_t die);
 
-    /** Write one page instantly (preconditioning path). */
-    void instantWrite(uint64_t lpn);
+    /**
+     * Write one page instantly (preconditioning path): invalidate the
+     * old copy once, run instant GC when the die would stall, then
+     * installHostPage(). `lpn` < num_lpns_; the maps exist.
+     */
+    void instantWrite(uint32_t lpn);
 
     const SsdConfig cfg_;
     uint32_t num_dies_;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/strings.hh"
 #include "common/types.hh"
 #include "sim/simulator.hh"
 #include "ssd/config.hh"
@@ -389,7 +390,9 @@ sixteenDieFlash()
 }
 
 // FNV-1a over the read mapping of every lpn, the GC counters and the
-// per-die free space: equal hashes mean equal observable FTL state.
+// per-die free space. It omits the write points and the GC victim, so
+// equal hashes do not prove equal state: a test that must also pin those
+// drives both sides with further writes and compares again.
 uint64_t
 stateHash(const Ftl &ftl, uint64_t num_lpns)
 {
@@ -493,6 +496,119 @@ TEST(Ftl, MultiPageGcMoveMatchesSinglePageMoves)
               stateHash(single, cfg.numLogicalPages()));
     std::string error;
     EXPECT_TRUE(bulk.checkInvariants(&error)) << error;
+}
+
+// Instant preconditioning replayed one page at a time through the
+// public single-page API, as the timed device path drives it: the same
+// fill, the same draws, and GC run page by page whenever a die stalls.
+void
+replayPrecondition(Ftl &ftl, uint64_t num_lpns, uint64_t overwrites,
+                   Rng &rng)
+{
+    auto write = [&](uint64_t lpn) {
+        uint32_t die = ftl.takeHostWriteDie();
+        ftl.noteOverwrite(lpn);
+        if (ftl.hostWriteStalled(die)) {
+            while (ftl.needsGc(die)) {
+                if (!ftl.gcHasMove(die) && !ftl.victimReadyForErase(die))
+                    break;
+                while (ftl.gcHasMove(die))
+                    ftl.gcCommitMove(die);
+                ftl.gcCommitErase(die);
+            }
+        }
+        ftl.commitHostWrite(lpn, die);
+    };
+    for (uint64_t lpn = 0; lpn < num_lpns; ++lpn)
+        write(lpn);
+    for (uint64_t i = 0; i < overwrites; ++i)
+        write(rng.below(num_lpns));
+}
+
+// Further single-page host writes with timed-style GC (one page per
+// step), identical on both sides: a write point or victim that differs
+// shows up as a different placement.
+void
+driveSinglePageWrites(Ftl &ftl, uint64_t num_lpns, int writes)
+{
+    Rng rng(77);
+    auto gcStep = [&](uint32_t die) {
+        if (ftl.gcHasMove(die))
+            ftl.gcCommitMove(die);
+        else if (ftl.victimReadyForErase(die))
+            ftl.gcCommitErase(die);
+        else
+            return false;
+        return true;
+    };
+    for (int i = 0; i < writes; ++i) {
+        uint64_t lpn = rng.below(num_lpns);
+        ftl.noteOverwrite(lpn);
+        uint32_t die = ftl.takeHostWriteDie();
+        while (ftl.hostWriteStalled(die))
+            ASSERT_TRUE(gcStep(die)) << "GC stuck";
+        ftl.commitHostWrite(lpn, die);
+        if (i % 3 == 0 && ftl.needsGc(die))
+            gcStep(die);
+    }
+}
+
+TEST(Ftl, PreconditionMatchesPageByPageReplay)
+{
+    struct Geometry
+    {
+        uint64_t capacity;
+        uint32_t channels;
+        uint32_t dies_per_channel;
+        uint32_t pages_per_block;
+        double overprovision;
+    };
+    // The FtlInvariantTest geometries (test_properties.cc), then the
+    // preset's die at 64 pages/block and OP 0.09, 16 pages/block (many
+    // block boundaries inside one victim's move run) and the largest
+    // block a mapping entry addresses (move runs of up to 4095 pages).
+    const Geometry geometries[] = {
+        {32 * MiB, 2, 2, 32, 0.30},   {32 * MiB, 4, 2, 64, 0.25},
+        {32 * MiB, 2, 4, 16, 0.40},   {32 * MiB, 8, 1, 32, 0.30},
+        {32 * MiB, 1, 4, 64, 0.35},   {256 * MiB, 2, 1, 64, 0.09},
+        {64 * MiB, 2, 2, 16, 0.28},   {512 * MiB, 1, 1, 4096, 0.28},
+    };
+    for (const Geometry &g : geometries) {
+        SCOPED_TRACE(strCat(g.channels, "x", g.dies_per_channel, " dies, ",
+                            g.pages_per_block, " pages/block, OP ",
+                            g.overprovision));
+        SsdConfig cfg = samsung980ProLike();
+        cfg.user_capacity = g.capacity;
+        cfg.channels = g.channels;
+        cfg.dies_per_channel = g.dies_per_channel;
+        cfg.pages_per_block = g.pages_per_block;
+        cfg.overprovision = g.overprovision;
+        const uint64_t n = cfg.numLogicalPages();
+
+        Ftl fast(cfg);
+        Rng fast_rng(31);
+        fast.preconditionSequentialFill(1.0);
+        fast.preconditionRandomOverwrite(n * 2, fast_rng);
+
+        Ftl ref(cfg);
+        Rng ref_rng(31);
+        replayPrecondition(ref, n, n * 2, ref_rng);
+
+        ASSERT_GT(fast.blocksErased(), 0u);
+        EXPECT_EQ(fast.hostPagesWritten(), ref.hostPagesWritten());
+        EXPECT_EQ(fast.gcPagesMoved(), ref.gcPagesMoved());
+        EXPECT_EQ(fast.blocksErased(), ref.blocksErased());
+        EXPECT_EQ(stateHash(fast, n), stateHash(ref, n));
+        EXPECT_EQ(fast_rng.next(), ref_rng.next());
+
+        driveSinglePageWrites(fast, n, 1000);
+        driveSinglePageWrites(ref, n, 1000);
+        EXPECT_EQ(fast.gcPagesMoved(), ref.gcPagesMoved());
+        EXPECT_EQ(fast.blocksErased(), ref.blocksErased());
+        EXPECT_EQ(stateHash(fast, n), stateHash(ref, n));
+        std::string error;
+        EXPECT_TRUE(fast.checkInvariants(&error)) << error;
+    }
 }
 
 TEST(Ftl, PartialFillOverwritesOnlyTheFilledRange)

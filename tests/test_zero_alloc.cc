@@ -34,6 +34,8 @@
 #include "isolbench/scenario.hh"
 #include "sim/event_queue.hh"
 #include "sim/invariants.hh"
+#include "ssd/config.hh"
+#include "ssd/ftl.hh"
 #include "workload/app_profiles.hh"
 
 namespace isol::isolbench
@@ -279,6 +281,25 @@ TEST(ZeroAlloc, PreconditionedRandomWritesDoNotAllocate)
     EXPECT_LT(per_io, 0.01)
         << counters.allocs << " allocations over " << ios
         << " steady-state I/Os (" << counters.bytes << " bytes)";
+}
+
+TEST(ZeroAlloc, PreconditionOverwriteDoesNotAllocate)
+{
+    // Instant preconditioning after the fill: GC moves go through a
+    // stack run and every table is updated in place, so the whole
+    // random-overwrite pass makes no heap allocation.
+    ssd::SsdConfig cfg = ssd::samsung980ProLike();
+    cfg.user_capacity = 256 * MiB;
+    cfg.channels = 4;
+    cfg.dies_per_channel = 4;
+    ssd::Ftl ftl(cfg);
+    Rng rng(2024);
+    ftl.preconditionSequentialFill(1.0);
+    common::resetAllocCounters();
+    ftl.preconditionRandomOverwrite(cfg.numLogicalPages() * 2, rng);
+    common::AllocCounters counters = common::allocCounters();
+    ASSERT_GT(ftl.gcPagesMoved(), 0u) << "GC must move pages";
+    EXPECT_EQ(counters.allocs, 0u) << counters.bytes << " bytes";
 }
 
 TEST(ZeroAlloc, CgroupChurnReleasesGateState)

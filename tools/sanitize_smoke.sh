@@ -5,7 +5,9 @@
 #      lint tool itself runs sanitized), the 64-seed isol_fuzz campaign
 #      with runtime invariants on plus its planted-bug mutation run —
 #      adversaries, every knob and the invariant hooks all under the
-#      sanitizer — the hierarchy property tests, and a 256-tenant
+#      sanitizer — the hierarchy property tests, the SSD/FTL unit and
+#      property tests (gcCommitMove's move run is a fixed stack array
+#      indexed by page, so an overrun shows only here), and a 256-tenant
 #      fleet_scale run with invariants on, then diffed across
 #      --jobs 1/2/8.
 #   2. TSan build: the event-queue and simulator unit tests, then the
@@ -38,6 +40,8 @@ fi
 "$ASAN_DIR/tools/isol_fuzz/isol_fuzz" --seeds 4 --jobs 1 \
     --mutate bucket --check-invariants --expect-violations
 "$ASAN_DIR/tests/test_hierarchy"
+"$ASAN_DIR/tests/test_ssd"
+"$ASAN_DIR/tests/test_properties"
 (cd "$ASAN_DIR" && ISOL_FLEET_TENANTS=256 ISOL_CHECK_INVARIANTS=1 \
     ./bench/fleet_scale --jobs 2 >/dev/null)
 for j in 1 2 8; do
