@@ -65,11 +65,12 @@ class CpuCore
      * Enqueue `duration` ns of CPU work for `owner`; `done` fires when the
      * work retires. Returns the retire time.
      */
+    template <typename F>
     SimTime
-    charge(TaskId owner, SimTime duration, sim::SmallCallback done)
+    charge(TaskId owner, SimTime duration, F &&done)
     {
         noteWork(owner, duration);
-        return server_.enqueue(duration, std::move(done));
+        return server_.enqueue(duration, std::forward<F>(done));
     }
 
     /** Time at which currently queued work drains. */

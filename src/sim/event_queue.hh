@@ -11,10 +11,11 @@
  * amortised O(1) for the clustered short-horizon timers that dominate
  * this DES. Wheel buckets are intrusive singly-linked lists through the
  * arena, with one 64-bit occupancy bitmap per level, so finding the next
- * bucket is a couple of ctz instructions. The arena is split hot and
- * cold: the 24-byte slots that bucket walks and cascades touch hold only
- * the time, the link and the generation tag, and the callbacks live in
- * a parallel vector that only schedule, cancel and pop touch.
+ * bucket is a couple of ctz instructions. Each arena slot is one 64-byte,
+ * 64-byte-aligned record `{when, next, gen, callback}`: the callback is
+ * constructed in place at schedule and moved out at pop, so an event
+ * touches one cache line of the arena. A slot is pending exactly when it
+ * holds a callback.
  *
  * The wheel cursor is the time of the last pop. A pop finds the minimum
  * bucket and its earliest live time, and only when that time is due does
@@ -72,20 +73,23 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
 
     /**
-     * Schedule `cb` to fire at absolute time `when`, which must not be
-     * earlier than the last popped time.
+     * Schedule `fn` at absolute time `when`, not before the last pop. `fn`
+     * is built in the event's slot; a Callback is moved in (rvalue only)
+     * and must not be empty, which would read as cancelled.
      */
+    template <typename F>
     EventId
-    schedule(SimTime when, Callback cb)
+    schedule(SimTime when, F &&fn)
     {
         if (when < cur_)
             panic("EventQueue::schedule: time before the last pop");
         uint32_t slot = allocSlot();
-        cbs_[slot] = std::move(cb);
         Slot &s = slots_[slot];
+        s.cb.emplace(std::forward<F>(fn));
+        if (!s.cb)
+            panic("EventQueue::schedule: empty callback");
         s.when = when;
         s.next = kNoSlot;
-        s.state = State::kPending;
         place(slot, when);
         ++live_;
         if (live_ > peak_depth_)
@@ -106,12 +110,11 @@ class EventQueue
         if (!splitId(id, slot, gen) || slot >= slots_.size())
             return false;
         Slot &s = slots_[slot];
-        if (s.state != State::kPending || s.gen != gen)
+        if (!s.cb || s.gen != gen)
             return false;
         // Destroy the callback now (releases captures); the bucket entry
         // is dropped lazily when it is next visited.
-        cbs_[slot].reset();
-        s.state = State::kCancelled;
+        s.cb.reset();
         ++s.gen; // a second cancel with the same id mismatches
         --live_;
         return true;
@@ -156,7 +159,7 @@ class EventQueue
             drainMinBucket(level, b, head);
         uint32_t slot = ready_[ready_head_++];
         when = head;
-        cb = std::move(cbs_[slot]);
+        cb = std::move(slots_[slot].cb);
         freeSlot(slot);
         --live_;
         return true;
@@ -178,26 +181,22 @@ class EventQueue
     size_t peakDepth() const { return peak_depth_; }
 
   private:
-    enum class State : uint8_t { kFree, kPending, kCancelled };
-
     static constexpr int kLevelBits = 6; //!< 64 slots per level
     static constexpr int kLevels = 11; //!< 64^11 > 2^63: all of SimTime
     static constexpr uint32_t kSlotsPerLevel = 1u << kLevelBits;
     static constexpr uint32_t kSlotMask = kSlotsPerLevel - 1;
     static constexpr uint32_t kNoSlot = UINT32_MAX;
 
-    /**
-     * Hot part of an arena entry: everything bucket walks and cascades
-     * read. Its callback is cbs_[slot].
-     */
-    struct Slot
+    /** One arena entry in one cache line; pending exactly when `cb` is set. */
+    struct alignas(64) Slot
     {
         SimTime when = 0;
         uint32_t next = kNoSlot; //!< intrusive bucket link
         uint32_t gen = 0;
-        State state = State::kFree;
+        Callback cb;
     };
-    static_assert(sizeof(Slot) == 24, "hot slot must stay 24 bytes");
+    static_assert(sizeof(Slot) == 64, "a slot must fill one cache line");
+    static_assert(alignof(Slot) == 64, "a slot must not straddle lines");
 
     struct Bucket
     {
@@ -249,7 +248,6 @@ class EventQueue
         }
         auto slot = static_cast<uint32_t>(slots_.size());
         slots_.emplace_back();
-        cbs_.emplace_back();
         return slot;
     }
 
@@ -261,7 +259,6 @@ class EventQueue
     freeSlot(uint32_t slot)
     {
         Slot &s = slots_[slot];
-        s.state = State::kFree;
         ++s.gen; // fired/cleaned ids mismatch from now on
         s.next = kNoSlot;
         free_.push_back(slot);
@@ -291,7 +288,7 @@ class EventQueue
     {
         while (ready_head_ < ready_.size()) {
             uint32_t slot = ready_[ready_head_];
-            if (slots_[slot].state == State::kPending)
+            if (slots_[slot].cb)
                 break;
             freeSlot(slot);
             ++ready_head_;
@@ -349,7 +346,7 @@ class EventQueue
         while (it != kNoSlot) {
             Slot &s = slots_[it];
             uint32_t next = s.next;
-            if (s.state == State::kPending) {
+            if (s.cb) {
                 s.next = kNoSlot;
                 if (head == kNoSlot) {
                     head = it;
@@ -422,8 +419,7 @@ class EventQueue
 
     Bucket buckets_[kLevels][kSlotsPerLevel];
     uint64_t occ_[kLevels] = {};
-    std::vector<Slot> slots_; //!< hot arena: time, link, generation
-    std::vector<Callback> cbs_; //!< cold arena: cbs_[slot] is its callback
+    std::vector<Slot> slots_; //!< the arena: one line per event
     std::vector<uint32_t> free_;
     std::vector<uint32_t> ready_; //!< current when-group, in schedule order
     size_t ready_head_ = 0;

@@ -54,14 +54,16 @@ class FifoServer
     }
 
     /**
-     * Enqueue a job taking `service` ns; `done` fires when it completes.
-     * Returns the completion time.
+     * Enqueue a job taking `service` ns; `done` fires when it completes
+     * (constructed in place, as by Simulator::at). Returns the
+     * completion time.
      */
+    template <typename F>
     SimTime
-    enqueue(SimTime service, SmallCallback done)
+    enqueue(SimTime service, F &&done)
     {
         SimTime end = book(service);
-        sim_.at(end, std::move(done));
+        sim_.at(end, std::forward<F>(done));
         return end;
     }
 

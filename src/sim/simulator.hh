@@ -42,22 +42,27 @@ class Simulator
     /** High-water mark of pending events (for performance reporting). */
     size_t peakQueueDepth() const { return queue_.peakDepth(); }
 
-    /** Schedule at an absolute time; must not be in the past. */
+    /**
+     * Schedule at an absolute time; must not be in the past. `fn` is
+     * constructed in place in the queue (see EventQueue::schedule).
+     */
+    template <typename F>
     EventId
-    at(SimTime when, Callback cb)
+    at(SimTime when, F &&fn)
     {
         if (when < now_)
             panic("Simulator::at: scheduling into the past");
-        return queue_.schedule(when, std::move(cb));
+        return queue_.schedule(when, std::forward<F>(fn));
     }
 
     /** Schedule after a non-negative relative delay. */
+    template <typename F>
     EventId
-    after(SimTime delay, Callback cb)
+    after(SimTime delay, F &&fn)
     {
         if (delay < 0)
             panic("Simulator::after: negative delay");
-        return queue_.schedule(now_ + delay, std::move(cb));
+        return queue_.schedule(now_ + delay, std::forward<F>(fn));
     }
 
     /** Cancel a pending event. Returns true if it had not yet fired. */

@@ -4,18 +4,29 @@
  *
  * `std::function` only stores two machine words inline (libstdc++), so
  * the pointer+id+index captures that simulator components schedule by the
- * million spill to the heap. SmallFunction keeps a 48-byte inline buffer —
- * enough for every capture in the tree (a `this` pointer, a request
- * pointer, an id, and change) — and falls back to the heap only for
- * oversized or throwing-move callables, so scheduling stays allocation
- * free in practice. `SmallCallback` is the ubiquitous `void()` alias;
- * the block layer uses `SmallFunction<void(Request *)>` for completions.
+ * million spill to the heap. SmallFunction keeps a 40-byte inline buffer:
+ * the largest production capture is 24 bytes (a `this` pointer, a request
+ * pointer and an id), and 40 bytes makes `SmallCallback` 48 bytes, so an
+ * event-queue slot with its callback fills exactly one 64-byte cache line.
+ * Oversized, over-aligned or throwing-move callables fall back to the
+ * heap, so scheduling stays allocation free in practice.
+ *
+ * A trivially copyable callable (every pointer-and-integer capture) and
+ * the heap path's owning pointer are relocated by a fixed-size memcpy of
+ * the buffer and need no destructor call: their ops table has null `move`
+ * and `destroy` entries, and moving one makes no indirect call.
+ * `emplace` constructs a callable directly in an existing object, which is
+ * how the event queue builds callbacks in its slots without a temporary.
+ *
+ * `SmallCallback` is the ubiquitous `void()` alias; the block layer uses
+ * `SmallFunction<void(Request *)>` for completions.
  */
 
 #ifndef ISOL_SIM_SMALL_FUNCTION_HH
 #define ISOL_SIM_SMALL_FUNCTION_HH
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -25,32 +36,28 @@ namespace isol::sim
 
 template <typename Sig> class SmallFunction;
 
-/** Move-only `R(Args...)` callable with a 48-byte inline buffer. */
+/** Move-only `R(Args...)` callable with a 40-byte inline buffer. */
 template <typename R, typename... Args>
 class SmallFunction<R(Args...)>
 {
+    /** What the converting constructor and `emplace` wrap. */
+    template <typename F>
+    static constexpr bool kWraps =
+        !std::is_same_v<std::decay_t<F>, SmallFunction> &&
+        std::is_invocable_r_v<R, std::decay_t<F> &, Args...>;
+
   public:
     /** Inline storage size; callables up to this size never allocate. */
-    static constexpr size_t kInlineBytes = 48;
+    static constexpr size_t kInlineBytes = 40;
 
     SmallFunction() noexcept = default;
     SmallFunction(std::nullptr_t) noexcept {}
 
-    template <typename F,
-              typename D = std::decay_t<F>,
-              typename = std::enable_if_t<
-                  !std::is_same_v<D, SmallFunction> &&
-                  std::is_invocable_r_v<R, D &, Args...>>>
+    template <typename F>
+        requires kWraps<F>
     SmallFunction(F &&fn)
     {
-        if constexpr (fitsInline<D>()) {
-            ::new (storage()) D(std::forward<F>(fn));
-            ops_ = &inlineOps<D>;
-        } else {
-            *reinterpret_cast<void **>(storage()) =
-                new D(std::forward<F>(fn));
-            ops_ = &heapOps<D>;
-        }
+        construct(std::forward<F>(fn));
     }
 
     SmallFunction(SmallFunction &&other) noexcept { moveFrom(other); }
@@ -70,12 +77,26 @@ class SmallFunction<R(Args...)>
 
     ~SmallFunction() { reset(); }
 
+    /** Replace the held callable with `fn`, constructed in place. */
+    template <typename F>
+        requires kWraps<F>
+    void
+    emplace(F &&fn)
+    {
+        reset();
+        construct(std::forward<F>(fn));
+    }
+
+    /** Replace the held callable with `other`'s, moved (rvalue only). */
+    void emplace(SmallFunction &&other) noexcept { *this = std::move(other); }
+
     /** Drop the held callable (frees captured resources). */
     void
     reset() noexcept
     {
         if (ops_ != nullptr) {
-            ops_->destroy(storage());
+            if (ops_->destroy != nullptr)
+                ops_->destroy(storage());
             ops_ = nullptr;
         }
     }
@@ -89,6 +110,7 @@ class SmallFunction<R(Args...)>
     }
 
   private:
+    /** Null `move`/`destroy`: relocate by memcpy, destroy by forgetting. */
     struct Ops
     {
         R (*invoke)(void *self, Args &&...args);
@@ -105,39 +127,62 @@ class SmallFunction<R(Args...)>
                std::is_nothrow_move_constructible_v<D>;
     }
 
+    // Trivially copyable implies a trivial destructor, so memcpy moves
+    // such a callable and forgetting it destroys it.
     template <typename D>
     static constexpr Ops inlineOps = {
         [](void *self, Args &&...args) -> R {
             return (*static_cast<D *>(self))(
                 std::forward<Args>(args)...);
         },
-        [](void *self, void *dst) noexcept {
-            ::new (dst) D(std::move(*static_cast<D *>(self)));
-            static_cast<D *>(self)->~D();
-        },
-        [](void *self) noexcept { static_cast<D *>(self)->~D(); },
+        std::is_trivially_copyable_v<D>
+            ? nullptr
+            : +[](void *self, void *dst) noexcept {
+                  ::new (dst) D(std::move(*static_cast<D *>(self)));
+                  static_cast<D *>(self)->~D();
+              },
+        std::is_trivially_copyable_v<D>
+            ? nullptr
+            : +[](void *self) noexcept { static_cast<D *>(self)->~D(); },
     };
 
+    // The buffer holds only the owning pointer: memcpy moves it.
     template <typename D>
     static constexpr Ops heapOps = {
         [](void *self, Args &&...args) -> R {
             return (**static_cast<D **>(self))(
                 std::forward<Args>(args)...);
         },
-        [](void *self, void *dst) noexcept {
-            *static_cast<D **>(dst) = *static_cast<D **>(self);
-        },
+        nullptr,
         [](void *self) noexcept { delete *static_cast<D **>(self); },
     };
 
     void *storage() noexcept { return buf_; }
+
+    /** Construct `fn` into the buffer. Precondition: empty. */
+    template <typename F>
+    void
+    construct(F &&fn)
+    {
+        using D = std::decay_t<F>;
+        if constexpr (fitsInline<D>()) {
+            ::new (storage()) D(std::forward<F>(fn));
+            ops_ = &inlineOps<D>;
+        } else {
+            *reinterpret_cast<D **>(storage()) = new D(std::forward<F>(fn));
+            ops_ = &heapOps<D>;
+        }
+    }
 
     void
     moveFrom(SmallFunction &other) noexcept
     {
         ops_ = other.ops_;
         if (ops_ != nullptr) {
-            ops_->move(other.storage(), storage());
+            if (ops_->move != nullptr)
+                ops_->move(other.storage(), storage());
+            else
+                std::memcpy(buf_, other.buf_, kInlineBytes);
             other.ops_ = nullptr;
         }
     }

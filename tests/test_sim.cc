@@ -383,6 +383,120 @@ TEST(EventQueueDeathTest, ScheduleBeforeLastPopPanics)
     EXPECT_EQ(q.pop().first, 1000);
 }
 
+TEST(EventQueueDeathTest, ScheduleEmptyCallbackPanics)
+{
+    // A slot is pending exactly when it holds a callback, so an empty
+    // one would read as already cancelled: schedule() refuses it.
+    EventQueue q;
+    EXPECT_DEATH(q.schedule(10, SmallCallback{}), "empty callback");
+    Simulator sim;
+    EXPECT_DEATH(sim.after(10, SmallCallback{}), "empty callback");
+    EXPECT_TRUE(q.empty());
+}
+
+/** Counts the moves of a callable and how often it ran. */
+struct MoveCounter
+{
+    int *moves;
+    int *runs;
+
+    MoveCounter(int *m, int *r) : moves(m), runs(r) {}
+    MoveCounter(MoveCounter &&other) noexcept
+        : moves(other.moves), runs(other.runs)
+    {
+        ++*moves;
+    }
+    MoveCounter(const MoveCounter &) = delete;
+    MoveCounter &operator=(const MoveCounter &) = delete;
+    MoveCounter &operator=(MoveCounter &&) = delete;
+
+    void operator()() { ++*runs; }
+};
+
+TEST(EventQueue, ScheduleConstructsCallableInPlace)
+{
+    // The temporary is moved once, into its slot, whether it comes
+    // through the queue or the simulator; the pop moves it out once.
+    int moves = 0;
+    int runs = 0;
+    EventQueue q;
+    q.schedule(10, MoveCounter(&moves, &runs));
+    EXPECT_EQ(moves, 1);
+    SimTime when = 0;
+    SmallCallback cb;
+    ASSERT_TRUE(q.popIfAtOrBefore(10, when, cb));
+    EXPECT_EQ(moves, 2);
+    cb();
+    EXPECT_EQ(runs, 1);
+
+    // One event at a time, so no arena growth relocates a pending one.
+    moves = 0;
+    Simulator sim;
+    sim.after(10, MoveCounter(&moves, &runs));
+    EXPECT_EQ(moves, 1);
+    sim.runAll();
+    EXPECT_EQ(moves, 2);
+    sim.at(20, MoveCounter(&moves, &runs));
+    EXPECT_EQ(moves, 3);
+    sim.runAll();
+    EXPECT_EQ(moves, 4);
+    EXPECT_EQ(runs, 3);
+}
+
+TEST(EventQueue, ArenaGrowthRelocatesNonTrivialCaptures)
+{
+    // Enough events to reallocate the arena many times over while every
+    // slot holds a shared_ptr capture: each fires once, in (time,
+    // schedule) order, and every reference is released.
+    constexpr int kEvents = 3000;
+    auto token = std::make_shared<int>(0);
+    EventQueue q;
+    std::vector<std::pair<SimTime, int>> want;
+    std::vector<std::pair<SimTime, int>> got;
+    for (int i = 0; i < kEvents; ++i) {
+        SimTime when = (static_cast<SimTime>(i) * 7919) % 613;
+        want.emplace_back(when, i);
+        q.schedule(when, [token, when, i, &got] {
+            ++*token;
+            got.emplace_back(when, i);
+        });
+    }
+    EXPECT_EQ(token.use_count(), kEvents + 1);
+    std::stable_sort(want.begin(), want.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    while (!q.empty()) {
+        auto [when, cb] = q.pop();
+        cb();
+        EXPECT_EQ(got.back().first, when);
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(*token, kEvents);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, CancelAfterGrowthReleasesCapture)
+{
+    // A pending capture relocated by arena growth is still released by
+    // its cancel, at once; its neighbours keep theirs until they fire.
+    auto cancelled = std::make_shared<int>(0);
+    auto kept = std::make_shared<int>(0);
+    EventQueue q;
+    EventId id = q.schedule(50, [cancelled] { ++*cancelled; });
+    for (int i = 0; i < 2000; ++i)
+        q.schedule(i % 100, [kept] { ++*kept; });
+    EXPECT_EQ(cancelled.use_count(), 2);
+    EXPECT_TRUE(q.cancel(id));
+    EXPECT_EQ(cancelled.use_count(), 1);
+    EXPECT_EQ(kept.use_count(), 2001);
+    while (!q.empty())
+        q.pop().second();
+    EXPECT_EQ(*cancelled, 0);
+    EXPECT_EQ(*kept, 2000);
+    EXPECT_EQ(kept.use_count(), 1);
+}
+
 TEST(EventQueue, MaxHorizonEvent)
 {
     EventQueue q;

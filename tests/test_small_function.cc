@@ -2,14 +2,16 @@
  * @file
  * Direct edge-case coverage for sim::SmallCallback, the DES hot-path
  * callback type: inline vs heap storage selection, move-only captures,
- * self-move, over-aligned callables, and exact construction/destruction
- * counts on both storage paths.
+ * self-move, over-aligned callables, exact construction/destruction
+ * counts on both storage paths, and the memcpy relocation of trivially
+ * copyable callables.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "sim/small_function.hh"
@@ -54,6 +56,11 @@ struct BigTracked : Tracked
 
     BigTracked(Tally *t, int *h) : Tracked(t, h), pad{} {}
 };
+
+// 40 inline bytes and the ops pointer: with the 16-byte event header an
+// event-queue slot is exactly one 64-byte line.
+static_assert(SmallCallback::kInlineBytes == 40);
+static_assert(sizeof(SmallCallback) == 48);
 
 static_assert(sizeof(Tracked) <= SmallCallback::kInlineBytes,
               "Tracked must exercise the inline path");
@@ -215,6 +222,65 @@ TEST(SmallCallback, ExactBufferSizeCallableStaysUsable)
     SmallCallback cb{std::move(fn)};
     cb();
     EXPECT_EQ(out, 9);
+}
+
+TEST(SmallCallback, TriviallyCopyableFullBufferSurvivesMoves)
+{
+    // Fills the whole inline buffer, so the memcpy relocation must carry
+    // every byte: move-construct, move-assign over a live callable, and
+    // self-move, then check the payload bit for bit.
+    struct Full
+    {
+        unsigned char payload[SmallCallback::kInlineBytes - sizeof(int *)];
+        int *out;
+        void
+        operator()()
+        {
+            int sum = 0;
+            for (size_t i = 0; i < sizeof(payload); ++i)
+                sum += payload[i] == static_cast<unsigned char>(i * 37 + 1);
+            *out = sum;
+        }
+    };
+    static_assert(sizeof(Full) == SmallCallback::kInlineBytes);
+    static_assert(std::is_trivially_copyable_v<Full>);
+
+    int out = 0;
+    Full fn{};
+    for (size_t i = 0; i < sizeof(fn.payload); ++i)
+        fn.payload[i] = static_cast<unsigned char>(i * 37 + 1);
+    fn.out = &out;
+    SmallCallback a{fn};
+    SmallCallback b(std::move(a));
+    int other_hits = 0;
+    SmallCallback c{[&other_hits] { ++other_hits; }};
+    c = std::move(b);
+    SmallCallback &alias = c;
+    c = std::move(alias);
+    SmallCallback d(std::move(c));
+    EXPECT_FALSE(a); // NOLINT(bugprone-use-after-move): asserting state
+    EXPECT_FALSE(b); // NOLINT(bugprone-use-after-move): asserting state
+    EXPECT_FALSE(c); // NOLINT(bugprone-use-after-move): asserting state
+    ASSERT_TRUE(d);
+    d();
+    EXPECT_EQ(out, static_cast<int>(sizeof(fn.payload)));
+    EXPECT_EQ(other_hits, 0);
+}
+
+TEST(SmallCallback, EmplaceReplacesAndDestroysPrevious)
+{
+    Tally old_tally;
+    Tally new_tally;
+    int old_hits = 0;
+    int new_hits = 0;
+    SmallCallback cb{Tracked(&old_tally, &old_hits)};
+    cb.emplace(Tracked(&new_tally, &new_hits));
+    EXPECT_EQ(old_tally.destroyed, old_tally.constructed);
+    // One temporary moved once into the buffer: no intermediate moves.
+    EXPECT_EQ(new_tally.moves, 1);
+    cb();
+    EXPECT_EQ(old_hits, 0);
+    EXPECT_EQ(new_hits, 1);
 }
 
 TEST(SmallCallback, ResetIsIdempotent)

@@ -7,7 +7,10 @@
 #      adversaries, every knob and the invariant hooks all under the
 #      sanitizer — the hierarchy property tests, the SSD/FTL unit and
 #      property tests (gcCommitMove's move run is a fixed stack array
-#      indexed by page, so an overrun shows only here), and a 256-tenant
+#      indexed by page, so an overrun shows only here), the event-queue
+#      and SmallCallback unit tests (callbacks are built by placement
+#      new in arena slots and relocated by memcpy, so a lifetime or
+#      alignment slip shows only here), and a 256-tenant
 #      fleet_scale run with invariants on, then diffed across
 #      --jobs 1/2/8.
 #   2. TSan build: the event-queue and simulator unit tests, then the
@@ -40,6 +43,8 @@ fi
 "$ASAN_DIR/tools/isol_fuzz/isol_fuzz" --seeds 4 --jobs 1 \
     --mutate bucket --check-invariants --expect-violations
 "$ASAN_DIR/tests/test_hierarchy"
+"$ASAN_DIR/tests/test_sim"
+"$ASAN_DIR/tests/test_small_function"
 "$ASAN_DIR/tests/test_ssd"
 "$ASAN_DIR/tests/test_properties"
 (cd "$ASAN_DIR" && ISOL_FLEET_TENANTS=256 ISOL_CHECK_INVARIANTS=1 \
