@@ -144,8 +144,8 @@ run(std::vector<std::function<void()>> tasks, uint32_t jobs)
 double
 monotonicMs()
 {
-    // isol-lint: allow(D2): the sanctioned profiling clock; feeds
-    // stderr and perfbench host timings only, never simulated state
+    // The sanctioned profiling clock: it feeds stderr and perfbench
+    // host timings only, never simulated state.
     auto now = std::chrono::steady_clock::now();
     return std::chrono::duration<double, std::milli>(
                now.time_since_epoch())

@@ -109,8 +109,8 @@ map(size_t n, Fn fn, uint32_t jobs = 0)
 /**
  * Monotonic wall-clock reading in milliseconds. The single sanctioned
  * profiling clock: wall time only ever feeds stderr summaries and
- * perfbench's host timings, never simulated state (isol-lint rule D2
- * flags any other clock use).
+ * perfbench's host timings, never simulated state (the
+ * `ambient_sources` ctest fails on any other clock use).
  */
 double monotonicMs();
 

@@ -149,12 +149,12 @@ class InvariantChecker
 
     /** Group states in creation order: finalCheck() walks the deque so
      *  violation blame never depends on pointer hash order. */
-    // isol-lint: allow(D1): lookup-only index into groups_; iteration
-    // always walks the creation-order deque
+    // Lookup-only index into groups_; iteration always walks the
+    // creation-order deque.
     std::unordered_map<const void *, size_t> group_index_;
     std::deque<Group> groups_;
 
-    // isol-lint: allow(D1): membership tests only, never iterated
+    // Membership tests only, never iterated.
     std::unordered_set<const void *> elevator_pending_;
 };
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -423,6 +425,30 @@ TEST(D4, IoLatencyRespondsInSecondsOthersInMillis)
     if (iolat.response_ms >= 0.0) {
         EXPECT_GT(iolat.response_ms, 800.0);
         EXPECT_GT(iolat.response_ms, iomax.response_ms * 3);
+    }
+}
+
+// The burst runner is a path no isol_fuzz rerun or --jobs diff runs, so
+// it reruns itself. The second run starts on the heap the first one
+// left behind, so output that depends on pointer order, or on state
+// kept between runs, can differ between the two.
+TEST(D4, BurstRunnerRerunsIdentically)
+{
+    BurstOptions opts;
+    opts.duration = msToNs(600);
+    opts.burst_start = msToNs(200);
+    const std::pair<Knob, PriorityAppKind> cases[] = {
+        {Knob::kIoCost, PriorityAppKind::kLc},
+        {Knob::kIoMax, PriorityAppKind::kBatch}};
+    for (const auto &[knob, kind] : cases) {
+        BurstResult first = runBurstResponse(knob, kind, opts);
+        BurstResult second = runBurstResponse(knob, kind, opts);
+        EXPECT_EQ(std::bit_cast<uint64_t>(first.response_ms),
+                  std::bit_cast<uint64_t>(second.response_ms))
+            << knobName(knob);
+        EXPECT_EQ(std::bit_cast<uint64_t>(first.steady_value),
+                  std::bit_cast<uint64_t>(second.steady_value))
+            << knobName(knob);
     }
 }
 

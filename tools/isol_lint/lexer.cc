@@ -2,10 +2,10 @@
  * @file
  * Hand-rolled C++ lexer for isol-lint.
  *
- * Produces identifiers, numbers, string/char literals, punctuation, and
- * comments with line information. Preprocessor directives are
+ * Produces identifiers, numbers, string/char literals and punctuation
+ * with line information. Comments and preprocessor directives are
  * consumed without emitting tokens (their text — include paths, macro
- * bodies on one logical line — would only confuse the rules).
+ * bodies on one logical line — would only confuse the rule).
  */
 
 #include "lint.hh"
@@ -32,10 +32,9 @@ isIdentChar(char c)
 }
 
 /**
- * Two-character operators recognised as single tokens. `<=`/`>=` stay
- * merged so D3 sees one comparison token; `<<`/`>>` stay merged so
- * stream inserts never look like comparisons (template scans treat a
- * `>>` as two closing angles).
+ * Two-character operators recognised as single tokens. `<=`, `>=`,
+ * `<<` and `>>` stay merged so comparisons and shifts inside an
+ * argument list never look like template angles.
  */
 constexpr std::array<const char *, 19> kTwoCharPuncts = {
     "::", "->", "++", "--", "+=", "-=", "*=", "/=", "%=", "==",
@@ -90,17 +89,12 @@ tokenize(const std::string &src)
 
         // Line comment.
         if (c == '/' && peek(1) == '/') {
-            size_t start = i;
             while (i < n && src[i] != '\n')
                 ++i;
-            out.push_back({TokKind::kComment, src.substr(start, i - start),
-                           line});
             continue;
         }
         // Block comment.
         if (c == '/' && peek(1) == '*') {
-            size_t start = i;
-            int start_line = line;
             i += 2;
             while (i < n && !(src[i] == '*' && peek(1) == '/')) {
                 if (src[i] == '\n')
@@ -109,8 +103,6 @@ tokenize(const std::string &src)
             }
             if (i < n)
                 i += 2;
-            out.push_back({TokKind::kComment, src.substr(start, i - start),
-                           start_line});
             continue;
         }
 

@@ -1,19 +1,18 @@
 /**
  * @file
- * isol_lint CLI: scan src/, bench/, and tools/ for determinism (D),
- * capture-safety (P), and unit-safety (U) hazards — see lint.hh.
+ * isol_lint CLI: scan src/, bench/, and tools/ for unit-safety (U1)
+ * hazards — see lint.hh.
  *
  * Usage:
- *   isol_lint [--root DIR] [--github] [--verbose] [--list-rules]
- *             [file...]
+ *   isol_lint [--root DIR] [--github] [file...]
  *
  * With explicit files, lints exactly those. Otherwise walks
  * <root>/{src,bench,tools} for *.cc / *.hh, skipping the known-bad
  * fixture corpus under tools/isol_lint/fixtures/.
  *
- * Exit status: 0 when clean, 1 on any unsuppressed finding or stale
- * allow() comment, 2 on usage or I/O errors. `--github` switches to
- * GitHub Actions annotation format (`::error file=...`) for CI.
+ * Exit status: 0 when clean, 1 on any finding, 2 on usage or I/O
+ * errors. `--github` switches to GitHub Actions annotation format
+ * (`::error file=...`) for CI.
  */
 
 #include <algorithm>
@@ -88,20 +87,15 @@ collectFiles(const fs::path &root)
 }
 
 void
-printFinding(const Finding &f, bool github, const char *kind)
+printFinding(const Finding &f, bool github)
 {
-    const bool error = kind == nullptr;
     if (github) {
-        std::printf("::%s file=%s,line=%d::[%s] %s\n",
-                    error ? "error" : "notice", f.file.c_str(), f.line,
-                    f.rule.c_str(), f.message.c_str());
+        std::printf("::error file=%s,line=%d::[%s] %s\n", f.file.c_str(),
+                    f.line, f.rule.c_str(), f.message.c_str());
         return;
     }
-    std::printf("%s:%d: %s%s[%s] %s\n", f.file.c_str(), f.line,
-                error ? "" : kind, error ? "" : " ", f.rule.c_str(),
-                f.message.c_str());
-    if (error)
-        std::printf("    hint: %s\n", f.hint.c_str());
+    std::printf("%s:%d: [%s] %s\n    hint: %s\n", f.file.c_str(), f.line,
+                f.rule.c_str(), f.message.c_str(), f.hint.c_str());
 }
 
 } // namespace
@@ -111,7 +105,6 @@ main(int argc, char **argv)
 {
     fs::path root = ".";
     bool github = false;
-    bool verbose = false;
     std::vector<fs::path> explicit_files;
 
     for (int i = 1; i < argc; ++i) {
@@ -126,23 +119,14 @@ main(int argc, char **argv)
         };
         if (arg == "--github") {
             github = true;
-        } else if (arg == "--verbose" || arg == "-v") {
-            verbose = true;
         } else if (arg == "--root") {
             const char *v = value("--root");
             if (v == nullptr)
                 return 2;
             root = v;
-        } else if (arg == "--list-rules") {
-            for (const isol_lint::RuleInfo &r : isol_lint::ruleTable()) {
-                std::printf("%s  %s\n    fix: %s\n", r.id, r.summary,
-                            r.hint);
-            }
-            return 0;
         } else if (arg == "--help" || arg == "-h") {
-            std::printf(
-                "usage: isol_lint [--root DIR] [--github] [--verbose] "
-                "[--list-rules] [file...]\n");
+            std::printf("usage: isol_lint [--root DIR] [--github] "
+                        "[file...]\n");
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "isol_lint: unknown option '%s'\n",
@@ -172,24 +156,10 @@ main(int argc, char **argv)
         }
         inputs.push_back({displayPath(path, root), std::move(content)});
     }
-    isol_lint::LintResult result = isol_lint::lintFiles(inputs);
-
-    for (const Finding &f : result.findings)
-        printFinding(f, github, nullptr);
-    if (verbose) {
-        for (const Finding &f : result.suppressed)
-            printFinding(f, github, "suppressed");
-    }
-    for (const Finding &f : result.unused_suppressions)
-        printFinding(f, github, "stale-suppression");
-
-    std::fprintf(stderr,
-                 "isol_lint: %zu files, %zu findings (%zu suppressed, "
-                 "%zu stale suppressions)\n",
-                 files.size(), result.findings.size(),
-                 result.suppressed.size(),
-                 result.unused_suppressions.size());
-    bool failed = !result.findings.empty() ||
-                  !result.unused_suppressions.empty();
-    return failed ? 1 : 0;
+    std::vector<Finding> findings = isol_lint::lintFiles(inputs);
+    for (const Finding &f : findings)
+        printFinding(f, github);
+    std::fprintf(stderr, "isol_lint: %zu files, %zu findings\n",
+                 files.size(), findings.size());
+    return findings.empty() ? 0 : 1;
 }

@@ -1,16 +1,20 @@
 #!/bin/sh
 # Sanitizer smoke for the simulator:
-#   1. ASan+UBSan build: quickstart example + io.cost CLI scenario
-#      (the `smoke` target), an isol_lint pass over the tree (so the
-#      lint tool itself runs sanitized), the 64-seed isol_fuzz campaign
-#      with runtime invariants on plus its planted-bug mutation run —
+#   1. ASan+UBSan build, with detect_stack_use_after_return=1 appended
+#      to ASAN_OPTIONS (ASan's default mode lets a deferred callback
+#      that captured a local by reference read the dead frame
+#      silently): quickstart example + io.cost CLI scenario (the
+#      `smoke` target), an isol_lint pass over the tree (so the lint
+#      tool itself runs sanitized), the 64-seed isol_fuzz campaign with
+#      runtime invariants on plus its planted-bug mutation run —
 #      adversaries, every knob and the invariant hooks all under the
-#      sanitizer — the hierarchy property tests, the SSD/FTL unit and
-#      property tests (gcCommitMove's move run is a fixed stack array
-#      indexed by page, so an overrun shows only here), the event-queue
-#      and SmallCallback unit tests (callbacks are built by placement
-#      new in arena slots and relocated by memcpy, so a lifetime or
-#      alignment slip shows only here), and a 256-tenant
+#      sanitizer — the quick q10_burst_response bench (the burst runner
+#      is on no fuzz path), the hierarchy property tests, the SSD/FTL
+#      unit and property tests (gcCommitMove's move run is a fixed
+#      stack array indexed by page, so an overrun shows only here), the
+#      event-queue and SmallCallback unit tests (callbacks are built by
+#      placement new in arena slots and relocated by memcpy, so a
+#      lifetime or alignment slip shows only here), and a 256-tenant
 #      fleet_scale run with invariants on, then diffed across
 #      --jobs 1/2/8.
 #   2. TSan build: the event-queue and simulator unit tests, then the
@@ -30,18 +34,21 @@ TSAN_DIR="${2:-build-tsan}"
 SRC_DIR="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 
 echo "== ASan/UBSan =="
+ASAN_OPTIONS="${ASAN_OPTIONS:+$ASAN_OPTIONS:}detect_stack_use_after_return=1"
+export ASAN_OPTIONS
 cmake -S "$SRC_DIR" -B "$ASAN_DIR" -DISOL_SANITIZE=address
 cmake --build "$ASAN_DIR" -j
 cmake --build "$ASAN_DIR" --target smoke
 if ! "$ASAN_DIR/tools/isol_lint/isol_lint" --root "$SRC_DIR"; then
-    echo "sanitize_smoke: isol_lint found violations (or stale" \
-        "suppressions); failing the smoke" >&2
+    echo "sanitize_smoke: isol_lint found violations; failing the" \
+        "smoke" >&2
     exit 1
 fi
 "$ASAN_DIR/tools/isol_fuzz/isol_fuzz" --seeds 64 --jobs 8 \
     --check-invariants
 "$ASAN_DIR/tools/isol_fuzz/isol_fuzz" --seeds 4 --jobs 1 \
     --mutate bucket --check-invariants --expect-violations
+(cd "$ASAN_DIR" && ISOL_BENCH_QUICK=1 ./bench/q10_burst_response >/dev/null)
 "$ASAN_DIR/tests/test_hierarchy"
 "$ASAN_DIR/tests/test_sim"
 "$ASAN_DIR/tests/test_small_function"
